@@ -160,7 +160,7 @@ func BenchmarkGBDimensionSweep(b *testing.B) {
 	cfg := cluster.DefaultConfig(16)
 	var best, worst float64
 	for i := 0; i < b.N; i++ {
-		pts := experiments.GBDimSweep(cfg, experiments.NICLevel, benchIters)
+		pts := experiments.GBDimSweep(cfg, experiments.NICLevel, benchIters, false)
 		best, worst = pts[0].Micros, pts[0].Micros
 		for _, p := range pts {
 			if p.Micros < best {

@@ -34,7 +34,6 @@ import (
 	"strconv"
 	"strings"
 
-	"gmsim/internal/cluster"
 	"gmsim/internal/experiments"
 	"gmsim/internal/mcp"
 	"gmsim/internal/runner"
@@ -64,13 +63,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	mkCfg := cluster.DefaultConfig
-	if *nicModel == "7.2" {
-		mkCfg = cluster.LANai72Config
-	} else if *nicModel != "4.3" {
-		fmt.Fprintf(os.Stderr, "unknown NIC model %q\n", *nicModel)
-		os.Exit(2)
-	}
 	topoAware := kind != topo.Single
 	level := experiments.NICLevel
 	if *levelArg == "host" {
@@ -102,23 +94,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bad size %q\n", s)
 			os.Exit(2)
 		}
-		cfg := mkCfg(n)
-		if topoAware {
-			tc := experiments.TopoConfig(kind, n, sf.Radix)
-			cfg.Switch = tc.Switch
-			cfg.Topology = tc.Topology
-		}
-		if plan, err := service.NamedPlan(sf.FaultPlan, sf.Seed, n); err != nil {
+		spec, err := service.Spec{
+			Topo: kind.String(), Radix: sf.Radix, Nodes: n, NIC: *nicModel,
+			FaultPlan: sf.FaultPlan, Seed: sf.Seed, Partitions: sf.Partitions,
+		}.Canonicalize()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
-		} else if plan != nil {
-			cfg.Fault = plan
-			cfg.ReliableBarrier = true
 		}
-		if sf.Partitions > 1 {
-			cfg.Partitions = sf.Partitions
-		}
-		if err := cfg.Validate(); err != nil {
+		cfg, err := spec.Config()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -134,14 +119,14 @@ func main() {
 			}})
 			tbl := stats.NewTable(
 				fmt.Sprintf("%s-based GB barrier, %d nodes, LANai %s: model-tuned dimension",
-					level, n, *nicModel),
+					level, n, spec.NIC),
 				"Dim", "Latency (us)", "")
 			tbl.AddRow(d, res[0].MeanMicros, "<- model-tuned (no sweep)")
 			fmt.Print(tbl.String())
 			fmt.Println()
 			continue
 		}
-		pts := experiments.GBDimSweepOn(cfg, level, *iters, topoAware)
+		pts := experiments.GBDimSweep(cfg, level, *iters, topoAware)
 		if dimSet {
 			kept := pts[:0]
 			for _, p := range pts {
@@ -163,7 +148,7 @@ func main() {
 		}
 		fabric := ""
 		if topoAware {
-			fabric = fmt.Sprintf(", %s radix %d, mapped tree", kind, sf.Radix)
+			fabric = fmt.Sprintf(", %s radix %d, mapped tree", kind, spec.Radix)
 		}
 		if sf.FaultPlan != service.PlanNone {
 			fabric += fmt.Sprintf(", reliable, %s plan", sf.FaultPlan)
@@ -173,7 +158,7 @@ func main() {
 		}
 		tbl := stats.NewTable(
 			fmt.Sprintf("%s-based GB barrier, %d nodes, LANai %s%s: latency vs tree dimension",
-				level, n, *nicModel, fabric),
+				level, n, spec.NIC, fabric),
 			"Dim", "Latency (us)", "")
 		for _, p := range pts {
 			mark := ""

@@ -3,7 +3,6 @@ package experiments
 import (
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
-	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/runner"
@@ -50,14 +49,7 @@ func MeasureCollective(spec CollSpec) float64 {
 	latest := make([]sim.Time, rounds)
 	cl.SpawnAll(func(p *host.Process) {
 		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*n+16)
-		if err != nil {
-			panic(err)
-		}
+		comm := openComm(cl, p, 4*n+16)
 		one := func() {
 			var err error
 			switch {

@@ -6,15 +6,17 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
 	"gmsim/internal/gm"
 	"gmsim/internal/host"
-	"gmsim/internal/lanai"
 	"gmsim/internal/mcp"
+	"gmsim/internal/network"
 	"gmsim/internal/runner"
 	"gmsim/internal/sim"
+	"gmsim/internal/trace"
 )
 
 // Level places the barrier algorithm at the NIC or at the host.
@@ -83,81 +85,145 @@ type Result struct {
 
 // MeasureBarrier runs the measurement described by spec.
 func MeasureBarrier(spec Spec) Result {
-	if spec.Warmup == 0 {
-		spec.Warmup = 5
+	return runBarriers(spec.withDefaults(5, DefaultIters), false).result()
+}
+
+// withDefaults fills a zero Warmup or Iters.
+func (s Spec) withDefaults(warmup, iters int) Spec {
+	if s.Warmup == 0 {
+		s.Warmup = warmup
 	}
-	if spec.Iters == 0 {
-		spec.Iters = DefaultIters
+	if s.Iters == 0 {
+		s.Iters = iters
 	}
+	return s
+}
+
+// barrierRun is the raw outcome of runBarriers, which MeasureBarrier,
+// MeasureBarrierObserved and RunScenario fold into their result shapes.
+type barrierRun struct {
+	spec Spec
+	cl   *cluster.Cluster
+	// rec is the full-stack recorder of an observed serial run, else nil.
+	rec *trace.Recorder
+	// start and end bound rank 0's timed iterations; slowest is the
+	// longest single one.
+	start, end, slowest sim.Time
+	// dead is each rank's final dead set; finished marks the ranks that
+	// completed every iteration (ranks on crashed nodes never do).
+	dead     [][]network.NodeID
+	finished []bool
+	// stats sums every NIC's firmware counters.
+	stats mcp.Stats
+}
+
+// result folds a run into the plain measurement row.
+func (r barrierRun) result() Result {
+	return Result{
+		Spec:       r.spec,
+		MeanMicros: (r.end - r.start).Micros() / float64(r.spec.Iters),
+		Barriers:   r.stats.BarrierCompleted,
+		Retrans:    r.stats.Retransmissions + r.stats.BarrierResends,
+		Start:      r.start,
+		End:        r.end,
+	}
+}
+
+// runBarriers is the paper's measurement procedure (Section 6), the one
+// barrier loop under every measurement entry point: each rank runs
+// spec.Warmup+spec.Iters consecutive barriers over the full group and rank
+// 0 times the last spec.Iters. With observe set, a full-stack recorder is
+// attached and enabled only around rank 0's timed window; the partitioned
+// engine cannot record, so there the run stays untraced.
+func runBarriers(spec Spec, observe bool) barrierRun {
 	n := spec.Cluster.Nodes
 	cl := cluster.New(spec.Cluster)
+	r := barrierRun{
+		spec:     spec,
+		cl:       cl,
+		dead:     make([][]network.NodeID, n),
+		finished: make([]bool, n),
+	}
+	if observe && cl.Group() == nil {
+		r.rec = trace.Attach(cl)
+		r.rec.Disable() // warmup is not recorded
+	}
 	g := core.UniformGroup(n, 2)
 	var leafOf []int
 	if spec.TopoAware {
 		leafOf = cl.Topology().LeafOf()
 	}
-	var t0, t1 sim.Time
+	// Receive-buffer provisioning scales with the cluster so the
+	// paper-scale runs never stall on buffers, but past 1024 nodes the
+	// linear rule would post tens of thousands of tokens per NIC
+	// (gigabytes across an 8192-node fabric) for a barrier that keeps at
+	// most ~2(log n + dim) frames outstanding per node. The cap applies
+	// only above 1024 nodes, so every pinned timing at paper and
+	// 1024-node scale keeps its historical buffer count.
+	bufs := 4*n + 16
+	if n > 1024 {
+		bufs = 256
+	}
 	cl.SpawnAll(func(p *host.Process) {
 		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		// Receive-buffer provisioning scales with the cluster so the
-		// paper-scale runs never stall on buffers, but past 1024 nodes the
-		// linear rule would post tens of thousands of tokens per NIC
-		// (gigabytes across an 8192-node fabric) for a barrier that keeps
-		// at most ~2(log n + dim) frames outstanding per node. The cap
-		// applies only above 1024 nodes, so every pinned timing at
-		// paper and 1024-node scale keeps its historical buffer count.
-		bufs := 4*n + 16
-		if n > 1024 {
-			bufs = 256
-		}
-		comm, err := core.NewComm(p, port, bufs)
-		if err != nil {
-			panic(err)
-		}
+		comm := openComm(cl, p, bufs)
+		var dead []network.NodeID
 		one := func() {
-			var err error
 			if spec.Level == NICLevel {
-				err = comm.BarrierMapped(p, spec.Alg, g, rank, spec.Dim, leafOf)
+				pb, err := comm.StartBarrierMapped(p, spec.Alg, g, rank, spec.Dim, leafOf)
+				must(err)
+				pb.Wait(p)
+				dead = pb.Dead()
 			} else {
-				err = comm.HostBarrierMapped(p, spec.Alg, g, rank, spec.Dim, leafOf)
-			}
-			if err != nil {
-				panic(err)
+				must(comm.HostBarrierMapped(p, spec.Alg, g, rank, spec.Dim, leafOf))
 			}
 		}
 		for i := 0; i < spec.Warmup; i++ {
 			one()
 		}
 		if rank == 0 {
-			t0 = p.Now()
+			r.start = p.Now()
+			if r.rec != nil {
+				r.rec.Enable()
+			}
 		}
 		for i := 0; i < spec.Iters; i++ {
+			before := p.Now()
 			one()
+			if d := p.Now() - before; rank == 0 && d > r.slowest {
+				r.slowest = d
+			}
 		}
 		if rank == 0 {
-			t1 = p.Now()
+			r.end = p.Now()
+			if r.rec != nil {
+				r.rec.Disable()
+			}
 		}
+		r.dead[rank] = dead
+		r.finished[rank] = true
 	})
 	cl.Run()
 
-	var barriers, retrans int64
+	sum := reflect.ValueOf(&r.stats).Elem()
 	for i := 0; i < n; i++ {
-		st := cl.MCP(i).Stats()
-		barriers += st.BarrierCompleted
-		retrans += st.Retransmissions + st.BarrierResends
+		st := reflect.ValueOf(cl.MCP(i).Stats())
+		for f := 0; f < st.NumField(); f++ {
+			sum.Field(f).SetInt(sum.Field(f).Int() + st.Field(f).Int())
+		}
 	}
-	return Result{
-		Spec:       spec,
-		MeanMicros: (t1 - t0).Micros() / float64(spec.Iters),
-		Barriers:   barriers,
-		Retrans:    retrans,
-		Start:      t0,
-		End:        t1,
-	}
+	return r
+}
+
+// openComm opens GM port 2 on the process's own NIC and wraps it in a Comm
+// posting bufs receive buffers. The harness only builds valid testbeds, so
+// a failure is a bug and panics.
+func openComm(cl *cluster.Cluster, p *host.Process, bufs int) *core.Comm {
+	port, err := gm.Open(p, cl.MCP(int(p.Node())), 2)
+	must(err)
+	comm, err := core.NewComm(p, port, bufs)
+	must(err)
+	return comm
 }
 
 // MeasureBarriers measures every spec, fanning the independent simulations
@@ -168,14 +234,9 @@ func MeasureBarriers(specs []Spec) []Result {
 	return runner.Map(0, specs, MeasureBarrier)
 }
 
-// gbSweepSpecs builds the per-dimension GB specs for one cluster size.
-func gbSweepSpecs(cfg cluster.Config, level Level, iters int) []Spec {
-	return gbSweepSpecsOn(cfg, level, iters, false)
-}
-
-// gbSweepSpecsOn is gbSweepSpecs with the topology-aware tree mapping
-// switched on or off.
-func gbSweepSpecsOn(cfg cluster.Config, level Level, iters int, topoAware bool) []Spec {
+// gbSweepSpecs builds the per-dimension GB specs for one cluster size, with
+// the topology-aware tree mapping switched on or off.
+func gbSweepSpecs(cfg cluster.Config, level Level, iters int, topoAware bool) []Spec {
 	specs := make([]Spec, 0, cfg.Nodes-1)
 	for dim := 1; dim <= cfg.Nodes-1; dim++ {
 		specs = append(specs, Spec{Cluster: cfg, Level: level, Alg: mcp.GB, Dim: dim, TopoAware: topoAware, Iters: iters})
@@ -202,19 +263,15 @@ func bestGBDim(results []Result) (int, float64) {
 // dimension from 1 to N-1 ... the latencies reported are the minimum over
 // all dimensions"). The per-dimension measurements run on the worker pool.
 func OptimalGBDim(cfg cluster.Config, level Level, iters int) (int, float64) {
-	return bestGBDim(MeasureBarriers(gbSweepSpecs(cfg, level, iters)))
+	return bestGBDim(MeasureBarriers(gbSweepSpecs(cfg, level, iters, false)))
 }
 
 // GBDimSweep returns the latency at every tree dimension (experiment E7).
-func GBDimSweep(cfg cluster.Config, level Level, iters int) []DimPoint {
-	return GBDimSweepOn(cfg, level, iters, false)
-}
-
-// GBDimSweepOn is GBDimSweep with the topology-aware tree mapping switched
-// on or off — on a multi-switch config the mapped sweep shows how much of
-// each dimension's latency the flat heap layout was paying in trunk hops.
-func GBDimSweepOn(cfg cluster.Config, level Level, iters int, topoAware bool) []DimPoint {
-	results := MeasureBarriers(gbSweepSpecsOn(cfg, level, iters, topoAware))
+// topoAware maps each tree onto the switch topology: on a multi-switch
+// config the mapped sweep shows how much of each dimension's latency the
+// flat heap layout was paying in trunk hops.
+func GBDimSweep(cfg cluster.Config, level Level, iters int, topoAware bool) []DimPoint {
+	results := MeasureBarriers(gbSweepSpecs(cfg, level, iters, topoAware))
 	out := make([]DimPoint, 0, len(results))
 	for i, r := range results {
 		out = append(out, DimPoint{Dim: i + 1, Micros: r.MeanMicros})
@@ -252,8 +309,8 @@ func Figure5Latencies(mkCfg func(n int) cluster.Config, sizes []int, iters int) 
 		specs = append(specs,
 			Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.PE, Iters: iters},
 			Spec{Cluster: cfg, Level: HostLevel, Alg: mcp.PE, Iters: iters})
-		specs = append(specs, gbSweepSpecs(cfg, NICLevel, iters)...)
-		specs = append(specs, gbSweepSpecs(cfg, HostLevel, iters)...)
+		specs = append(specs, gbSweepSpecs(cfg, NICLevel, iters, false)...)
+		specs = append(specs, gbSweepSpecs(cfg, HostLevel, iters, false)...)
 	}
 	results := MeasureBarriers(specs)
 
@@ -327,14 +384,7 @@ func PingPong(cfg cluster.Config, bytes, iters int) float64 {
 	var t0, t1 sim.Time
 	cl.SpawnAll(func(p *host.Process) {
 		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 32)
-		if err != nil {
-			panic(err)
-		}
+		comm := openComm(cl, p, 32)
 		if rank == 0 {
 			// warmup
 			for i := 0; i < 5; i++ {
@@ -432,12 +482,6 @@ func mustRecv(b []byte, err error) []byte {
 
 // Describe formats a spec for table titles.
 func (s Spec) Describe() string {
-	alg := s.Alg.String()
-	if s.Alg == mcp.GB {
-		alg = fmt.Sprintf("%s(dim=%d)", alg, s.Dim)
-	}
 	return fmt.Sprintf("%s-based %s, %d nodes, %s",
-		s.Level, alg, s.Cluster.Nodes, lanaiName(s.Cluster.NIC))
+		s.Level, algLabel(s.Alg, s.Dim), s.Cluster.Nodes, s.Cluster.NIC.Name)
 }
-
-func lanaiName(m lanai.Model) string { return m.Name }

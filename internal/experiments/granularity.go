@@ -5,7 +5,6 @@ import (
 
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
-	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/runner"
@@ -89,14 +88,7 @@ func measureBSP(n int, grainMicros, imbalance float64, nicBarrier bool, iters in
 	var t0, t1 sim.Time
 	cl.SpawnAll(func(p *host.Process) {
 		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*n+16)
-		if err != nil {
-			panic(err)
-		}
+		comm := openComm(cl, p, 4*n+16)
 		one := func(i int) {
 			p.Compute(sim.FromMicros(grainMicros + jitter[rank][i]))
 			var err error

@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"gmsim/internal/cluster"
-	"gmsim/internal/core"
-	"gmsim/internal/gm"
-	"gmsim/internal/host"
-	"gmsim/internal/sim"
 	"gmsim/internal/stats"
 	"gmsim/internal/trace"
 )
@@ -23,7 +18,8 @@ type Observed struct {
 	// Metrics holds the cluster's counter registry after the run.
 	Metrics *stats.Registry
 	// Rec is the full-stack recorder; spans and fabric events cover the
-	// timed iterations only (recording is gated around them).
+	// timed iterations only (recording is gated around them). Nil on the
+	// partitioned engine.
 	Rec *trace.Recorder
 }
 
@@ -31,80 +27,14 @@ type Observed struct {
 // recorder attached. Recording is enabled only around the timed
 // iterations at rank 0, so the span set covers exactly the decomposed
 // window. Simulated time is identical to MeasureBarrier — the recorder is
-// passive — which the overhead-guard test pins bit-exactly.
+// passive — which the overhead-guard test pins bit-exactly. The
+// partitioned engine cannot record: there Rec is nil and Decomp zero, and
+// the result is MeasureBarrier's.
 func MeasureBarrierObserved(spec Spec) Observed {
-	if spec.Warmup == 0 {
-		spec.Warmup = 5
+	r := runBarriers(spec.withDefaults(5, DefaultIters), true)
+	obs := Observed{Result: r.result(), Metrics: r.cl.Metrics(), Rec: r.rec}
+	if r.rec != nil {
+		obs.Decomp = r.rec.Decompose(0, r.start, r.end)
 	}
-	if spec.Iters == 0 {
-		spec.Iters = DefaultIters
-	}
-	n := spec.Cluster.Nodes
-	cl := cluster.New(spec.Cluster)
-	rec := trace.Attach(cl)
-	rec.Disable() // warmup is not recorded
-	g := core.UniformGroup(n, 2)
-	var leafOf []int
-	if spec.TopoAware {
-		leafOf = cl.Topology().LeafOf()
-	}
-	var t0, t1 sim.Time
-	cl.SpawnAll(func(p *host.Process) {
-		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*n+16)
-		if err != nil {
-			panic(err)
-		}
-		one := func() {
-			var err error
-			if spec.Level == NICLevel {
-				err = comm.BarrierMapped(p, spec.Alg, g, rank, spec.Dim, leafOf)
-			} else {
-				err = comm.HostBarrierMapped(p, spec.Alg, g, rank, spec.Dim, leafOf)
-			}
-			if err != nil {
-				panic(err)
-			}
-		}
-		for i := 0; i < spec.Warmup; i++ {
-			one()
-		}
-		if rank == 0 {
-			t0 = p.Now()
-			rec.Enable()
-		}
-		for i := 0; i < spec.Iters; i++ {
-			one()
-		}
-		if rank == 0 {
-			t1 = p.Now()
-			rec.Disable()
-		}
-	})
-	cl.Run()
-
-	var barriers, retrans int64
-	for i := 0; i < n; i++ {
-		st := cl.MCP(i).Stats()
-		barriers += st.BarrierCompleted
-		retrans += st.Retransmissions + st.BarrierResends
-	}
-	res := Result{
-		Spec:       spec,
-		MeanMicros: (t1 - t0).Micros() / float64(spec.Iters),
-		Barriers:   barriers,
-		Retrans:    retrans,
-		Start:      t0,
-		End:        t1,
-	}
-	return Observed{
-		Result:  res,
-		Decomp:  rec.Decompose(0, t0, t1),
-		Metrics: cl.Metrics(),
-		Rec:     rec,
-	}
+	return obs
 }

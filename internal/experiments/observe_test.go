@@ -10,6 +10,7 @@ import (
 	"gmsim/internal/model"
 	"gmsim/internal/phase"
 	"gmsim/internal/sim"
+	"gmsim/internal/topo"
 )
 
 const obsIters = 20
@@ -166,5 +167,22 @@ func TestTraceOverheadZero(t *testing.T) {
 				t.Fatal("traced run recorded no spans")
 			}
 		})
+	}
+}
+
+// TestObservedMatchesPlainPastBufferCap: MeasureBarrier and
+// MeasureBarrierObserved share one barrier loop, so the receive-buffer cap
+// above 1024 nodes applies to both and a multi-switch cluster past it
+// times identically with and without the recorder.
+func TestObservedMatchesPlainPastBufferCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1056-node run; skipped in -short mode")
+	}
+	spec := Spec{Cluster: TopoConfig(topo.Clos2, 1056, 64), Level: NICLevel, Alg: mcp.PE, Warmup: 1, Iters: 1}
+	plain := MeasureBarrier(spec)
+	obs := MeasureBarrierObserved(spec)
+	if obs.Start != plain.Start || obs.End != plain.End || obs.MeanMicros != plain.MeanMicros {
+		t.Fatalf("observed run differs from plain: start/end/mean %d/%d/%v vs %d/%d/%v",
+			obs.Start, obs.End, obs.MeanMicros, plain.Start, plain.End, plain.MeanMicros)
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"gmsim/internal/cluster"
 	"gmsim/internal/core"
-	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/mpi"
@@ -93,14 +92,7 @@ func measureMPIBarrier(cfg cluster.Config, n int, nicBarrier bool, iters int) fl
 	var t0, t1 sim.Time
 	cl.SpawnAll(func(p *host.Process) {
 		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*n+16)
-		if err != nil {
-			panic(err)
-		}
+		comm := openComm(cl, p, 4*n+16)
 		w, err := mpi.NewWorld(comm, g, rank, mcfg)
 		if err != nil {
 			panic(err)

@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gmsim/internal/cluster"
-	"gmsim/internal/core"
 	"gmsim/internal/fault"
-	"gmsim/internal/gm"
-	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/network"
 	"gmsim/internal/runner"
@@ -26,16 +24,12 @@ import (
 // latency must equal the Figure 5 measurement of the same configuration,
 // bit for bit (TestZeroFaultScenariosMatchFigure5).
 
-// Scenario is one cell of the chaos matrix.
+// Scenario is one cell of the chaos matrix: a named measurement whose
+// Cluster carries the complete testbed, fault plan and engine choice.
 type Scenario struct {
 	// Name keys the golden file; keep it filesystem-safe.
 	Name string
-	// Cfg is the complete testbed, fault plan and engine choice included.
-	Cfg cluster.Config
-	// Alg and Dim pick the barrier; Warmup+Iters barriers run on every rank.
-	Alg           mcp.BarrierAlg
-	Dim           int
-	Warmup, Iters int
+	Spec
 }
 
 // ScenarioSummary is the deterministic outcome of one scenario run.
@@ -99,98 +93,41 @@ func (s ScenarioSummary) String() string {
 	return b.String()
 }
 
-// RunScenario executes one cell: Warmup+Iters checked barriers on every
-// rank over the full group. Ranks on crashed nodes simply stop (the
+// RunScenario executes one cell: Warmup+Iters barriers (default 2+8) on
+// every rank over the full group. Ranks on crashed nodes simply stop (the
 // injector kills their processes); survivors complete degraded and keep
 // going. The run is bit-deterministic: the same Scenario always returns
 // the same summary.
 func RunScenario(s Scenario) ScenarioSummary {
-	if s.Warmup == 0 {
-		s.Warmup = 2
-	}
-	if s.Iters == 0 {
-		s.Iters = 8
-	}
-	n := s.Cfg.Nodes
-	cl := cluster.New(s.Cfg)
-	g := core.UniformGroup(n, 2)
-
-	lastDead := make([][]network.NodeID, n)
-	finished := make([]bool, n)
-	var t0, t1 sim.Time
-	iterTimes := make([]sim.Time, 0, s.Iters)
-	cl.SpawnAll(func(p *host.Process) {
-		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*n+16)
-		if err != nil {
-			panic(err)
-		}
-		one := func() core.BarrierResult {
-			res, err := comm.BarrierChecked(p, s.Alg, g, rank, s.Dim, nil)
-			if err != nil {
-				panic(err)
-			}
-			return res
-		}
-		for i := 0; i < s.Warmup; i++ {
-			one()
-		}
-		if rank == 0 {
-			t0 = p.Now()
-		}
-		var last core.BarrierResult
-		for i := 0; i < s.Iters; i++ {
-			before := p.Now()
-			last = one()
-			if rank == 0 {
-				iterTimes = append(iterTimes, p.Now()-before)
-			}
-		}
-		if rank == 0 {
-			t1 = p.Now()
-		}
-		lastDead[rank] = last.Dead
-		finished[rank] = true
-	})
-	cl.RunWorkers(0)
-
+	r := runBarriers(s.withDefaults(2, 8), false)
+	res, st := r.result(), r.stats
+	n := s.Cluster.Nodes
 	sum := ScenarioSummary{
-		Name:        s.Name,
-		Nodes:       n,
-		Partitions:  cl.Partitions(),
-		Alg:         algLabel(s.Alg, s.Dim),
-		MeanMicros:  (t1 - t0).Micros() / float64(s.Iters),
-		DrainMicros: cl.MaxNow().Micros(),
-		Dead:        lastDead[0],
-	}
-	for _, d := range iterTimes {
-		if us := d.Micros(); us > sum.MaxIterMicros {
-			sum.MaxIterMicros = us
-		}
-	}
-	for i := 0; i < n; i++ {
-		st := cl.MCP(i).Stats()
-		sum.Barriers += st.BarrierCompleted
-		sum.Retrans += st.Retransmissions + st.BarrierResends
-		sum.Probes += st.BarrierProbes
-		sum.Declared += st.PeersDeclaredDead
-		sum.Skipped += st.BarrierPeersSkipped
-		sum.Promotions += st.BarrierRootPromotions
-		sum.Repairs += st.BarrierRepairs
+		Name:          s.Name,
+		Nodes:         n,
+		Partitions:    r.cl.Partitions(),
+		Alg:           algLabel(s.Alg, s.Dim),
+		MeanMicros:    res.MeanMicros,
+		MaxIterMicros: r.slowest.Micros(),
+		DrainMicros:   r.cl.MaxNow().Micros(),
+		Barriers:      res.Barriers,
+		Retrans:       res.Retrans,
+		Probes:        st.BarrierProbes,
+		Declared:      st.PeersDeclaredDead,
+		Skipped:       st.BarrierPeersSkipped,
+		Promotions:    st.BarrierRootPromotions,
+		Repairs:       st.BarrierRepairs,
+		Dead:          r.dead[0],
 	}
 	for i := 0; i < n; i++ {
-		if finished[i] {
+		if r.finished[i] {
 			sum.Finished++
-			if sameDeadSet(lastDead[i], lastDead[0]) {
+			if slices.Equal(r.dead[i], r.dead[0]) {
 				sum.Agree++
 			}
 		}
 	}
-	if inj := cl.Fault(); inj != nil {
+	if inj := r.cl.Fault(); inj != nil {
 		sum.Faults = inj.Counters()
 	}
 	return sum
@@ -208,18 +145,6 @@ func algLabel(alg mcp.BarrierAlg, dim int) string {
 		return fmt.Sprintf("GB(dim=%d)", dim)
 	}
 	return alg.String()
-}
-
-func sameDeadSet(a, b []network.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -322,35 +247,35 @@ func ScenarioFleet() []Scenario {
 	}
 	return []Scenario{
 		// Zero-fault rows: pinned bit-identical to Figure 5.
-		{Name: "pe16-clean", Cfg: cleanCfg(16), Alg: mcp.PE, Warmup: 5, Iters: 20},
-		{Name: "gb16-clean", Cfg: cleanCfg(16), Alg: mcp.GB, Dim: 4, Warmup: 5, Iters: 20},
-		{Name: "pe32-clos2x2-clean", Cfg: clos2Cfg(32, 8, 2), Alg: mcp.PE, Warmup: 5, Iters: 20},
+		{Name: "pe16-clean", Spec: Spec{Cluster: cleanCfg(16), Alg: mcp.PE, Warmup: 5, Iters: 20}},
+		{Name: "gb16-clean", Spec: Spec{Cluster: cleanCfg(16), Alg: mcp.GB, Dim: 4, Warmup: 5, Iters: 20}},
+		{Name: "pe32-clos2x2-clean", Spec: Spec{Cluster: clos2Cfg(32, 8, 2), Alg: mcp.PE, Warmup: 5, Iters: 20}},
 
 		// Single crash, both barrier kinds; for GB both an interior node
 		// (children re-parent by promotion) and a leaf.
-		{Name: "pe16-crash5", Cfg: detectCfg(16, crashPlan(1, 5, sim.FromMicros(700))), Alg: mcp.PE},
-		{Name: "gb16-crash-interior", Cfg: detectCfg(16, crashPlan(1, 1, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4},
-		{Name: "gb16-crash-leaf", Cfg: detectCfg(16, crashPlan(1, 15, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4},
+		{Name: "pe16-crash5", Spec: Spec{Cluster: detectCfg(16, crashPlan(1, 5, sim.FromMicros(700))), Alg: mcp.PE}},
+		{Name: "gb16-crash-interior", Spec: Spec{Cluster: detectCfg(16, crashPlan(1, 1, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4}},
+		{Name: "gb16-crash-leaf", Spec: Spec{Cluster: detectCfg(16, crashPlan(1, 15, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4}},
 
 		// Two staggered crashes.
-		{Name: "gb16-crash-two", Cfg: detectCfg(16, twoCrash), Alg: mcp.GB, Dim: 4},
+		{Name: "gb16-crash-two", Spec: Spec{Cluster: detectCfg(16, twoCrash), Alg: mcp.GB, Dim: 4}},
 
 		// Persistent link cut: both sides of the partition complete.
-		{Name: "pe16-cut3", Cfg: detectCfg(16, cutPlan(1, 3, sim.FromMicros(700))), Alg: mcp.PE},
+		{Name: "pe16-cut3", Spec: Spec{Cluster: detectCfg(16, cutPlan(1, 3, sim.FromMicros(700))), Alg: mcp.PE}},
 
 		// Transient flap shorter than the retry budget: recovery without a
 		// single death declared.
-		{Name: "gb16-flap", Cfg: detectCfg(16, flap), Alg: mcp.GB, Dim: 4},
+		{Name: "gb16-flap", Spec: Spec{Cluster: detectCfg(16, flap), Alg: mcp.GB, Dim: 4}},
 
 		// Everything at once, two seeds.
-		{Name: "gb16-chaos-s1", Cfg: detectCfg(16, chaosPlan(1)), Alg: mcp.GB, Dim: 4},
-		{Name: "gb16-chaos-s2", Cfg: detectCfg(16, chaosPlan(2)), Alg: mcp.GB, Dim: 4},
+		{Name: "gb16-chaos-s1", Spec: Spec{Cluster: detectCfg(16, chaosPlan(1)), Alg: mcp.GB, Dim: 4}},
+		{Name: "gb16-chaos-s2", Spec: Spec{Cluster: detectCfg(16, chaosPlan(2)), Alg: mcp.GB, Dim: 4}},
 
 		// Multi-switch topologies: a crash behind the far switch, and a
 		// partition-internal crash on the parallel engine (the lifted
 		// fabric fault ban).
-		{Name: "gb16-twoswitch-crash12", Cfg: twoSwitch(crashPlan(1, 12, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4},
-		{Name: "pe32-clos2x2-crash17", Cfg: partitioned(crashPlan(1, 17, sim.FromMicros(600))), Alg: mcp.PE},
+		{Name: "gb16-twoswitch-crash12", Spec: Spec{Cluster: twoSwitch(crashPlan(1, 12, sim.FromMicros(700))), Alg: mcp.GB, Dim: 4}},
+		{Name: "pe32-clos2x2-crash17", Spec: Spec{Cluster: partitioned(crashPlan(1, 17, sim.FromMicros(600))), Alg: mcp.PE}},
 	}
 }
 
@@ -374,27 +299,23 @@ type DetectionPoint struct {
 // budgets and base timeouts: a GB barrier on n nodes with one node crashed
 // mid-run, re-measured for every (MaxRetries, RetransTimeout) combination.
 func DetectionLatencySweep(n, dim int, retries []int, rtosMicros []float64) []DetectionPoint {
-	mk := func(maxRetries int, rtoMicros float64, plan *fault.Plan) cluster.Config {
+	mk := func(maxRetries int, rtoMicros float64, plan *fault.Plan) Spec {
 		cfg := detectCfg(n, plan)
 		cfg.Firmware.MaxRetries = maxRetries
 		cfg.Firmware.RetransTimeout = sim.FromMicros(rtoMicros)
 		cfg.Firmware.RetransBackoffMax = sim.FromMicros(8 * rtoMicros)
-		return cfg
+		return Spec{Cluster: cfg, Alg: mcp.GB, Dim: dim}
 	}
 	var list []Scenario
 	for _, mr := range retries {
 		for _, rto := range rtosMicros {
 			list = append(list, Scenario{
 				Name: fmt.Sprintf("detect-r%d-t%g", mr, rto),
-				Cfg:  mk(mr, rto, crashPlan(1, network.NodeID(n/2), sim.FromMicros(700))),
-				Alg:  mcp.GB, Dim: dim,
+				Spec: mk(mr, rto, crashPlan(1, network.NodeID(n/2), sim.FromMicros(700))),
 			})
 		}
 	}
-	baseline := RunScenario(Scenario{
-		Name: "detect-baseline", Cfg: mk(retries[0], rtosMicros[0], nil),
-		Alg: mcp.GB, Dim: dim,
-	})
+	baseline := RunScenario(Scenario{Name: "detect-baseline", Spec: mk(retries[0], rtosMicros[0], nil)})
 	sums := RunScenarios(list)
 	out := make([]DetectionPoint, 0, len(sums))
 	i := 0

@@ -92,14 +92,13 @@ func TestZeroFaultScenariosMatchFigure5(t *testing.T) {
 // in bounded simulated time, every survivor converges on the same one-node
 // dead set, and the whole run is bit-deterministic across reruns.
 func TestGBBarrierSurvivesNodeCrash(t *testing.T) {
-	scen := Scenario{
-		Name:   "gb64-crash21",
-		Cfg:    detectCfg(64, crashPlan(1, 21, sim.FromMicros(700))),
-		Alg:    mcp.GB,
-		Dim:    4,
-		Warmup: 2,
-		Iters:  6,
-	}
+	scen := Scenario{Name: "gb64-crash21", Spec: Spec{
+		Cluster: detectCfg(64, crashPlan(1, 21, sim.FromMicros(700))),
+		Alg:     mcp.GB,
+		Dim:     4,
+		Warmup:  2,
+		Iters:   6,
+	}}
 	a := RunScenario(scen)
 	b := RunScenario(scen)
 	if a.String() != b.String() {

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"gmsim/internal/cluster"
-	"gmsim/internal/core"
-	"gmsim/internal/gm"
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/model"
@@ -65,34 +63,6 @@ func gbDims(n int) []int {
 	return dims
 }
 
-// TopoScaleSweep measures NIC- and host-based PE and GB barriers for every
-// feasible (kind, size) combination, flattening all the independent
-// simulations into one worker-pool batch. GB runs topology-aware
-// (core.GBTreeMapped) and takes the best dimension from dims (nil = the
-// gbDims default for each size). Combinations a kind cannot host (capacity
-// exceeded — including the 256-port route-byte ceiling on expanded single
-// crossbars) are skipped, so e.g. sizes up to 1024 can be paired with
-// clos2 (128 nodes at radix 16) without error handling at the call site;
-// callers that want to report the gaps can compare rows against
-// kinds x sizes.
-func TopoScaleSweep(kinds []topo.Kind, sizes []int, radix, iters int, dims []int) []TopoScaleRow {
-	return TopoScaleSweepPartitioned(kinds, sizes, radix, iters, dims, 1)
-}
-
-// TopoScaleSweepPartitioned is TopoScaleSweep with each cluster split into
-// the given number of engine partitions (the conservative parallel engine;
-// results are bit-identical at any partition count). Rows whose fabric
-// cannot host the split — too few leaf switches, or the single-crossbar
-// baseline, which has no switch boundary to cut — silently run serial, so
-// mixed sweeps like single+clos3 still produce every row.
-func TopoScaleSweepPartitioned(kinds []topo.Kind, sizes []int, radix, iters int, dims []int, partitions int) []TopoScaleRow {
-	dimsFor := func(cluster.Config, int) []int { return dims }
-	if dims == nil {
-		dimsFor = func(_ cluster.Config, n int) []int { return gbDims(n) }
-	}
-	return topoScaleSweep(kinds, sizes, radix, iters, dimsFor, partitions)
-}
-
 // TunedGBDim picks the GB tree dimension for cfg from the closed-form
 // steady-state model (internal/model) instead of an exhaustive
 // per-dimension DES sweep — the same argmin GBDimSweep measures on every
@@ -104,21 +74,31 @@ func TunedGBDim(cfg cluster.Config) int {
 	return model.TunedGBDim(cfg.Nodes, model.GBCostsAt(cfg.NIC.ClockMHz))
 }
 
-// TopoScaleSweepAuto is TopoScaleSweepPartitioned with the GB dimension
-// chosen by TunedGBDim per row instead of swept: each (kind, size) cell
-// costs 4 simulations instead of 2 + 2·|dims|, which is what makes the
-// 8192- and 16384-node fat-tree rows affordable. The host GB row reuses
-// the NIC-tuned dimension (an approximation — the host steady state has
-// the same shape with larger per-level constants, and its optimum moves
-// little; the sweep remains available where the exact host argmin
-// matters).
-func TopoScaleSweepAuto(kinds []topo.Kind, sizes []int, radix, iters, partitions int) []TopoScaleRow {
-	return topoScaleSweep(kinds, sizes, radix, iters, func(cfg cluster.Config, _ int) []int {
-		return []int{TunedGBDim(cfg)}
-	}, partitions)
-}
-
-func topoScaleSweep(kinds []topo.Kind, sizes []int, radix, iters int, dimsFor func(cluster.Config, int) []int, partitions int) []TopoScaleRow {
+// TopoScaleSweep measures NIC- and host-based PE and GB barriers for every
+// feasible (kind, size) combination, flattening all the independent
+// simulations into one worker-pool batch. Combinations a kind cannot host
+// (capacity exceeded — including the 256-port route-byte ceiling on
+// expanded single crossbars) are skipped, so e.g. sizes up to 1024 can be
+// paired with clos2 (128 nodes at radix 16) without error handling at the
+// call site; callers that want to report the gaps can compare rows
+// against kinds x sizes.
+//
+// GB runs topology-aware (core.GBTreeMapped) and takes the best dimension
+// of dims (nil = the gbDims sample for each size). With tuned, dims is
+// ignored and each row measures only its TunedGBDim: a cell then costs 4
+// simulations instead of 2 + 2·|dims|, which is what makes the 8192- and
+// 16384-node fat-tree rows affordable. The host GB row reuses the
+// NIC-tuned dimension (an approximation — the host steady state has the
+// same shape with larger per-level constants, and its optimum moves
+// little).
+//
+// partitions > 1 splits each cluster into that many engine partitions
+// (the conservative parallel engine; results are bit-identical at any
+// partition count). Rows whose fabric cannot host the split — too few leaf
+// switches, or the single-crossbar baseline, which has no switch boundary
+// to cut — silently run serial, so mixed sweeps like single+clos3 still
+// produce every row.
+func TopoScaleSweep(kinds []topo.Kind, sizes []int, radix, iters int, dims []int, tuned bool, partitions int) []TopoScaleRow {
 	type rowPlan struct {
 		kind               topo.Kind
 		n                  int
@@ -149,7 +129,12 @@ func topoScaleSweep(kinds []topo.Kind, sizes []int, radix, iters int, dimsFor fu
 					cfg.Partitions = 1
 				}
 			}
-			ds := dimsFor(cfg, n)
+			ds := dims
+			if tuned {
+				ds = []int{TunedGBDim(cfg)}
+			} else if ds == nil {
+				ds = gbDims(n)
+			}
 			plans = append(plans, rowPlan{
 				kind: kind, n: n,
 				switches: t.Switches(), diameter: st.Diameter,
@@ -260,14 +245,7 @@ func measureConcurrentStreams(cfg cluster.Config, pairs [][2]int, bytes, iters i
 		epA := mcp.Endpoint{Node: network.NodeID(a), Port: 2}
 		epB := mcp.Endpoint{Node: network.NodeID(b), Port: 2}
 		cl.Spawn(a, a, func(p *host.Process) {
-			port, err := gm.Open(p, cl.MCP(a), 2)
-			if err != nil {
-				panic(err)
-			}
-			comm, err := core.NewComm(p, port, 8)
-			if err != nil {
-				panic(err)
-			}
+			comm := openComm(cl, p, 8)
 			t0 := p.Now()
 			for i := 0; i < iters; i++ {
 				must(comm.Send(p, epB, payload))
@@ -276,14 +254,7 @@ func measureConcurrentStreams(cfg cluster.Config, pairs [][2]int, bytes, iters i
 			elapsed[pi] = p.Now() - t0
 		})
 		cl.Spawn(b, b, func(p *host.Process) {
-			port, err := gm.Open(p, cl.MCP(b), 2)
-			if err != nil {
-				panic(err)
-			}
-			comm, err := core.NewComm(p, port, 64)
-			if err != nil {
-				panic(err)
-			}
+			comm := openComm(cl, p, 64)
 			for i := 0; i < iters; i++ {
 				mustRecv(comm.RecvFrom(p, epA))
 			}

@@ -15,7 +15,7 @@ import (
 func TestTopoSingleMatchesFigure5(t *testing.T) {
 	const iters = 20
 	fig := Figure5Latencies(cluster.DefaultConfig, []int{16}, iters)[0]
-	rows := TopoScaleSweep([]topo.Kind{topo.Single}, []int{16}, 16, iters, nil)
+	rows := TopoScaleSweep([]topo.Kind{topo.Single}, []int{16}, 16, iters, nil, false, 1)
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -33,7 +33,7 @@ func TestTopoSingleMatchesFigure5(t *testing.T) {
 // TestTopoScaleRowsSane: small multi-switch sweeps produce positive
 // latencies, host slower than NIC, and the expected fabric shapes.
 func TestTopoScaleRowsSane(t *testing.T) {
-	rows := TopoScaleSweep([]topo.Kind{topo.Star, topo.Clos2}, []int{8, 16}, 6, 10, nil)
+	rows := TopoScaleSweep([]topo.Kind{topo.Star, topo.Clos2}, []int{8, 16}, 6, 10, nil, false, 1)
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -59,7 +59,7 @@ func TestTopoScale1024Smoke(t *testing.T) {
 		t.Skip("1024-node fabric simulation is slow; skipped in -short")
 	}
 	run := func() []TopoScaleRow {
-		return TopoScaleSweep([]topo.Kind{topo.Clos3}, []int{1024}, 16, 3, []int{8})
+		return TopoScaleSweep([]topo.Kind{topo.Clos3}, []int{1024}, 16, 3, []int{8}, false, 1)
 	}
 	var serial, parallel []TopoScaleRow
 	withWorkers(t, 1, func() { serial = run() })

@@ -14,13 +14,13 @@ import (
 // matrix (n ∈ {4, 8, 16}, NIC level), the steady-state recurrence must
 // reproduce the measured mean of every dimension essentially exactly and
 // land on the same argmin as the exhaustive DES sweep — the property that
-// lets TopoScaleSweepAuto replace the sweep.
+// lets TopoScaleSweep's tuned mode replace the sweep.
 func TestTunedGBDimConformance(t *testing.T) {
 	const iters = obsIters
 	c := model.GBCosts43()
 	for _, n := range []int{4, 8, 16} {
 		cfg := cluster.DefaultConfig(n)
-		pts := GBDimSweep(cfg, NICLevel, iters)
+		pts := GBDimSweep(cfg, NICLevel, iters, false)
 		measDim, measLat := 1, 0.0
 		for i, pt := range pts {
 			if i == 0 || pt.Micros < measLat {
@@ -48,7 +48,7 @@ func TestTunedGBDimConformance72(t *testing.T) {
 	const n, iters = 8, obsIters
 	cfg := cluster.LANai72Config(n)
 	c := model.GBCostsAt(cfg.NIC.ClockMHz)
-	pts := GBDimSweep(cfg, NICLevel, iters)
+	pts := GBDimSweep(cfg, NICLevel, iters, false)
 	measDim, measLat := 1, 0.0
 	for i, pt := range pts {
 		if i == 0 || pt.Micros < measLat {
@@ -68,7 +68,7 @@ func TestTunedGBDimConformance72(t *testing.T) {
 // workers, and the tuner itself is a pure function of (n, costs).
 func TestTunedSweepDeterminism(t *testing.T) {
 	run := func() []TopoScaleRow {
-		return TopoScaleSweepAuto([]topo.Kind{topo.Star, topo.Clos2, topo.Clos3}, []int{16, 64}, 8, 10, 1)
+		return TopoScaleSweep([]topo.Kind{topo.Star, topo.Clos2, topo.Clos3}, []int{16, 64}, 8, 10, nil, true, 1)
 	}
 	var serial, parallel []TopoScaleRow
 	withWorkers(t, 1, func() { serial = run() })
@@ -99,7 +99,7 @@ func TestTopoScale8192Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("8192-node fabric simulation is slow; skipped in -short")
 	}
-	rows := TopoScaleSweepAuto([]topo.Kind{topo.Clos3}, []int{8192}, 32, 3, 1)
+	rows := TopoScaleSweep([]topo.Kind{topo.Clos3}, []int{8192}, 32, 3, nil, true, 1)
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
 	}

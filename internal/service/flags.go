@@ -2,7 +2,6 @@ package service
 
 import (
 	"flag"
-	"fmt"
 
 	"gmsim/internal/topo"
 )
@@ -21,7 +20,7 @@ type SpecFlags struct {
 	Partitions int
 }
 
-// Spec flag names, for selecting a subset in Bind.
+// Spec flag names.
 const (
 	FlagTopo       = "topo"
 	FlagRadix      = "radix"
@@ -32,38 +31,20 @@ const (
 	FlagPartitions = "partitions"
 )
 
-// BindSpecFlags registers the named experiment-spec flags on fs with the
-// shared defaults and returns the value struct they fill. With no names it
-// registers all of them. Unknown names panic (a programming error in the
-// CLI, not user input).
-func BindSpecFlags(fs *flag.FlagSet, names ...string) *SpecFlags {
+// BindSpecFlags registers every experiment-spec flag on fs with the shared
+// defaults and returns the value struct they fill.
+func BindSpecFlags(fs *flag.FlagSet) *SpecFlags {
 	sf := &SpecFlags{}
-	if len(names) == 0 {
-		names = []string{FlagTopo, FlagRadix, FlagNodes, FlagDim, FlagFaultPlan, FlagSeed, FlagPartitions}
-	}
-	for _, name := range names {
-		switch name {
-		case FlagTopo:
-			fs.StringVar(&sf.Topo, FlagTopo, topo.Single.String(),
-				"topology kind(s), comma-separated: single, twoswitch, star, clos2, clos3")
-		case FlagRadix:
-			fs.IntVar(&sf.Radix, FlagRadix, topo.DefaultRadix, "switch port count for multi-switch fabrics")
-		case FlagNodes:
-			fs.IntVar(&sf.Nodes, FlagNodes, 16, "cluster size (nodes)")
-		case FlagDim:
-			fs.IntVar(&sf.Dim, FlagDim, 2, "GB tree dimension")
-		case FlagFaultPlan:
-			fs.StringVar(&sf.FaultPlan, FlagFaultPlan, PlanNone,
-				"fault plan: none, flap, corrupt, chaos, crash, partition")
-		case FlagSeed:
-			fs.Int64Var(&sf.Seed, FlagSeed, DefaultSeed, "fault plan seed")
-		case FlagPartitions:
-			fs.IntVar(&sf.Partitions, FlagPartitions, 1,
-				"engine partitions: >1 runs the conservative parallel engine (needs a multi-switch -topo)")
-		default:
-			panic(fmt.Sprintf("service: unknown spec flag %q", name))
-		}
-	}
+	fs.StringVar(&sf.Topo, FlagTopo, topo.Single.String(),
+		"topology kind(s), comma-separated: single, twoswitch, star, clos2, clos3")
+	fs.IntVar(&sf.Radix, FlagRadix, topo.DefaultRadix, "switch port count for multi-switch fabrics")
+	fs.IntVar(&sf.Nodes, FlagNodes, 16, "cluster size (nodes)")
+	fs.IntVar(&sf.Dim, FlagDim, 2, "GB tree dimension")
+	fs.StringVar(&sf.FaultPlan, FlagFaultPlan, PlanNone,
+		"fault plan: none, flap, corrupt, chaos, crash, partition")
+	fs.Int64Var(&sf.Seed, FlagSeed, DefaultSeed, "fault plan seed")
+	fs.IntVar(&sf.Partitions, FlagPartitions, 1,
+		"engine partitions: >1 runs the conservative parallel engine (needs a multi-switch -topo)")
 	return sf
 }
 

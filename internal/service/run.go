@@ -58,18 +58,17 @@ type Outcome struct {
 	Metrics *stats.Registry
 }
 
-// Execute runs one canonical spec to completion and returns its outcome.
-// Dispatch follows the engine's capabilities:
+// Execute runs one canonical spec to completion and returns its outcome,
+// in one of two shapes:
 //
 //   - fail-stop plans (crash, partition) run as checked scenarios —
 //     survivors complete degraded and the summary is part of the result;
-//   - partitioned specs run on the conservative parallel engine, which
-//     excludes tracing;
-//   - everything else runs serially with the full-stack recorder attached,
-//     yielding the decomposition, the Perfetto trace and the metrics
-//     registry. Timing is bit-identical in all cases to the equivalent
-//     one-shot CLI run (the recorder is passive; the overhead-guard test
-//     pins this).
+//   - everything else is a measurement. On the serial engine the
+//     full-stack recorder is attached, yielding the decomposition, the
+//     Perfetto trace and the metrics registry; the partitioned engine
+//     cannot record, so its result carries the timings only. Timing is
+//     bit-identical in all cases to the equivalent one-shot CLI run (the
+//     recorder is passive; the overhead-guard test pins this).
 //
 // Execute assumes a canonicalized spec; Canonicalize beforehand.
 func Execute(s Spec) (Outcome, error) {
@@ -77,32 +76,18 @@ func Execute(s Spec) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	res := Result{Spec: s, Hash: hash}
-
-	if FailStop(s.FaultPlan) {
-		sc, err := s.Scenario("svc-" + hash[:12])
-		if err != nil {
-			return Outcome{}, err
-		}
-		sum := experiments.RunScenario(sc)
-		res.MeanMicros = sum.MeanMicros
-		res.Barriers = sum.Barriers
-		res.Retrans = sum.Retrans
-		res.Scenario = sum.String()
-		return Outcome{Result: res}, nil
-	}
-
 	espec, err := s.Experiment()
 	if err != nil {
 		return Outcome{}, err
 	}
-	if s.Partitions > 1 {
-		r := experiments.MeasureBarrier(espec)
-		res.MeanMicros = r.MeanMicros
-		res.Barriers = r.Barriers
-		res.Retrans = r.Retrans
-		res.StartNs = int64(r.Start)
-		res.EndNs = int64(r.End)
+	res := Result{Spec: s, Hash: hash}
+
+	if FailStop(s.FaultPlan) {
+		sum := experiments.RunScenario(experiments.Scenario{Name: "svc-" + hash[:12], Spec: espec})
+		res.MeanMicros = sum.MeanMicros
+		res.Barriers = sum.Barriers
+		res.Retrans = sum.Retrans
+		res.Scenario = sum.String()
 		return Outcome{Result: res}, nil
 	}
 
@@ -112,6 +97,9 @@ func Execute(s Spec) (Outcome, error) {
 	res.Retrans = obs.Retrans
 	res.StartNs = int64(obs.Start)
 	res.EndNs = int64(obs.End)
+	if obs.Rec == nil {
+		return Outcome{Result: res}, nil
+	}
 	res.Traced = true
 	for ph := phase.Phase(0); ph < phase.NumPhases; ph++ {
 		crit := obs.Decomp.Critical[ph]

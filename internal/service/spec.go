@@ -47,7 +47,9 @@ type Spec struct {
 	Nodes int `json:"nodes"`
 	// NIC is the card model: "4.3" (default) or "7.2".
 	NIC string `json:"nic"`
-	// Level places the barrier: "nic" (default) or "host".
+	// Level places the barrier: "nic" (default) or "host". Fail-stop plans
+	// (crash, partition) always run the NIC barrier, so for them it is
+	// canonically "nic".
 	Level string `json:"level"`
 	// Alg is the barrier algorithm: "pe" (default) or "gb".
 	Alg string `json:"alg"`
@@ -55,7 +57,8 @@ type Spec struct {
 	// (canonically 0) for PE.
 	Dim int `json:"dim"`
 	// TopoAware maps the GB tree onto the switch topology (ignored, and
-	// canonically false, for PE).
+	// canonically false, for PE and for fail-stop plans, which run the
+	// flat tree).
 	TopoAware bool `json:"topo_aware"`
 	// FaultPlan names the fault schedule: none (default), flap, corrupt,
 	// chaos, crash, partition — the same vocabulary as the CLIs' -faultplan
@@ -178,6 +181,12 @@ func (s Spec) Canonicalize() (Spec, error) {
 		c.Seed = 0
 	} else if c.Seed == 0 {
 		c.Seed = DefaultSeed
+	}
+	if FailStop(c.FaultPlan) {
+		// Fail-stop plans run the checked NIC barrier over the flat tree:
+		// placement and tree mapping must not split the cache key.
+		c.Level = "nic"
+		c.TopoAware = false
 	}
 
 	if c.Partitions < 1 {
@@ -321,10 +330,9 @@ func (s Spec) Config() (cluster.Config, error) {
 	return cfg, nil
 }
 
-// Experiment converts a canonical non-fail-stop spec into the experiments
-// harness's measurement spec — the exact value a one-shot CLI run would
-// measure, which is what makes service results bit-comparable to serial
-// runs.
+// Experiment converts a canonical spec into the experiments harness's
+// measurement spec — the exact value a one-shot CLI run would measure,
+// which is what makes service results bit-comparable to serial runs.
 func (s Spec) Experiment() (experiments.Spec, error) {
 	cfg, err := s.Config()
 	if err != nil {
@@ -346,31 +354,6 @@ func (s Spec) Experiment() (experiments.Spec, error) {
 		TopoAware: s.TopoAware,
 		Warmup:    s.Warmup,
 		Iters:     s.Iters,
-	}, nil
-}
-
-// Scenario converts a canonical fail-stop spec into a checked scenario
-// (see experiments.RunScenario): survivors complete degraded barriers and
-// the summary records dead sets and repair work.
-func (s Spec) Scenario(name string) (experiments.Scenario, error) {
-	if !FailStop(s.FaultPlan) {
-		return experiments.Scenario{}, fmt.Errorf("spec: %q is not a fail-stop plan", s.FaultPlan)
-	}
-	cfg, err := s.Config()
-	if err != nil {
-		return experiments.Scenario{}, err
-	}
-	alg := mcp.PE
-	if s.Alg == "gb" {
-		alg = mcp.GB
-	}
-	return experiments.Scenario{
-		Name:   name,
-		Cfg:    cfg,
-		Alg:    alg,
-		Dim:    s.Dim,
-		Warmup: s.Warmup,
-		Iters:  s.Iters,
 	}, nil
 }
 

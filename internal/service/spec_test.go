@@ -30,34 +30,47 @@ func TestCanonicalizeDefaults(t *testing.T) {
 
 // TestCanonicalEquivalence: specs that describe the same simulation in
 // different spellings hash identically — explicit defaults, case and
-// legacy NIC names, and fields the chosen algorithm ignores.
+// legacy NIC names, and fields the chosen algorithm or fault plan ignores.
 func TestCanonicalEquivalence(t *testing.T) {
-	base := Spec{Nodes: 16}
-	variants := map[string]Spec{
-		"explicit defaults": {
-			Topo: "single", Nodes: 16, NIC: "4.3", Level: "nic",
-			Alg: "pe", FaultPlan: "none", Partitions: 1,
-			Warmup: 5, Iters: experiments.DefaultIters,
-		},
-		"shouting":        {Topo: "SINGLE", Nodes: 16, NIC: "4.3", Level: "NIC", Alg: "PE"},
-		"legacy nic name": {Nodes: 16, NIC: "LANai 4.3"},
-		// PE ignores the GB tree shape; single ignores radix. Neither may
-		// split the cache key.
-		"ignored fields": {Nodes: 16, Alg: "pe", Dim: 7, TopoAware: true, Radix: 32},
-		// A plan of none has no random streams, so the seed is noise.
-		"seed without plan": {Nodes: 16, FaultPlan: "none", Seed: 999},
+	groups := []struct {
+		base     Spec
+		variants map[string]Spec
+	}{
+		{Spec{Nodes: 16}, map[string]Spec{
+			"explicit defaults": {
+				Topo: "single", Nodes: 16, NIC: "4.3", Level: "nic",
+				Alg: "pe", FaultPlan: "none", Partitions: 1,
+				Warmup: 5, Iters: experiments.DefaultIters,
+			},
+			"shouting":        {Topo: "SINGLE", Nodes: 16, NIC: "4.3", Level: "NIC", Alg: "PE"},
+			"legacy nic name": {Nodes: 16, NIC: "LANai 4.3"},
+			// PE ignores the GB tree shape; single ignores radix. Neither
+			// may split the cache key.
+			"ignored fields": {Nodes: 16, Alg: "pe", Dim: 7, TopoAware: true, Radix: 32},
+			// A plan of none has no random streams, so the seed is noise.
+			"seed without plan": {Nodes: 16, FaultPlan: "none", Seed: 999},
+		}},
+		// Fail-stop plans run the NIC barrier over the flat tree whatever
+		// the spec asks for, so placement and tree mapping are noise too.
+		{Spec{Nodes: 16, Alg: "gb", FaultPlan: "crash"}, map[string]Spec{
+			"host level":   {Nodes: 16, Alg: "gb", FaultPlan: "crash", Level: "host"},
+			"topo aware":   {Nodes: 16, Alg: "gb", FaultPlan: "crash", Level: "nic", TopoAware: true},
+			"explicit NIC": {Nodes: 16, Alg: "gb", FaultPlan: "crash", Level: "nic"},
+		}},
 	}
-	wantHash, err := base.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, v := range variants {
-		h, err := v.Hash()
+	for _, g := range groups {
+		wantHash, err := g.base.Hash()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if h != wantHash {
-			t.Errorf("%s: hash %s, want %s", name, h, wantHash)
+		for name, v := range g.variants {
+			h, err := v.Hash()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if h != wantHash {
+				t.Errorf("%s: hash %s, want %s", name, h, wantHash)
+			}
 		}
 	}
 }
