@@ -27,12 +27,14 @@ race:
 	$(GO) test -race ./...
 
 # Race-check the conservative parallel engine and everything that feeds it:
-# the window scheduler (sim.Group), the worker pool, and the partitioned
-# cluster determinism matrix. CI runs this on every push; the full `race`
-# target above covers the rest of the tree.
+# the window scheduler (sim.Group), the worker pool, the partitioned
+# cluster determinism matrix and the service's partitioned-vs-serial spec
+# rows. CI runs this on every push; the full `race` target above covers
+# the rest of the tree.
 race-partition:
 	$(GO) test -race -count=1 -run 'Partition|TieBreak|Group|Pool' \
-		./internal/sim ./internal/runner ./internal/cluster ./internal/network ./internal/topo
+		./internal/sim ./internal/runner ./internal/cluster ./internal/network ./internal/topo \
+		./internal/service
 
 # Short fuzzing pass over the wire codec, the duplicate-suppression window,
 # the fault-plan validator, the result-store entry codec and the algebraic

@@ -26,6 +26,7 @@ import (
 	"gmsim/internal/mcp"
 	"gmsim/internal/model"
 	"gmsim/internal/sim"
+	"gmsim/internal/topo"
 )
 
 const benchIters = 40 // timed barriers per simulated measurement
@@ -287,7 +288,9 @@ func BenchmarkAblationTwoLevelSwitch(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := cluster.DefaultConfig(16)
-			cfg.TwoLevel = twoLevel
+			if twoLevel {
+				cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
+			}
 			reportBarrier(b, experiments.Spec{Cluster: cfg, Level: experiments.NICLevel, Alg: mcp.PE})
 		})
 	}

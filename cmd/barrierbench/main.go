@@ -405,18 +405,13 @@ func printCrash(n, dim int, planName string, seed int64) {
 		fmt.Fprintf(os.Stderr, "-fig crash wants -faultplan crash or partition, not %q\n", planName)
 		os.Exit(2)
 	}
-	mk := func(alg mcp.BarrierAlg, d int, name string) experiments.Scenario {
-		cfg := cluster.DefaultConfig(n)
-		cfg.ReliableBarrier = true
-		cfg.DetectFailures = true
-		cfg.Firmware = experiments.DetectionFirmware()
-		// A fresh plan per scenario: injector state is per-run.
-		cfg.Fault, _ = service.NamedPlan(planName, seed, n)
-		return experiments.Scenario{Name: name, Spec: experiments.Spec{Cluster: cfg, Alg: alg, Dim: d}}
+	mk := func(alg, name string) experiments.Scenario {
+		spec := service.Spec{Nodes: n, Alg: alg, Dim: dim, FaultPlan: planName, Seed: seed, Warmup: 2, Iters: 8}
+		return experiments.Scenario{Name: name, Spec: mustExperiment(spec)}
 	}
 	sums := experiments.RunScenarios([]experiments.Scenario{
-		mk(mcp.PE, 0, fmt.Sprintf("pe%d-%s%d", n, planName, victim)),
-		mk(mcp.GB, dim, fmt.Sprintf("gb%d-%s%d", n, planName, victim)),
+		mk("pe", fmt.Sprintf("pe%d-%s%d", n, planName, victim)),
+		mk("gb", fmt.Sprintf("gb%d-%s%d", n, planName, victim)),
 	})
 	fmt.Printf("Crash tolerance: %d nodes, LANai 4.3, %s of node %d at t=700us\n\n", n, planName, victim)
 	for _, s := range sums {
@@ -463,8 +458,8 @@ func printHeadlines(rows43, rows72 []experiments.Figure5Row) {
 // the always-on counters every experiment accumulates, surfaced.
 func printMetrics(n, dim, iters int) {
 	specs := []experiments.Spec{
-		{Cluster: cluster.DefaultConfig(n), Level: experiments.NICLevel, Alg: mcp.PE, Iters: iters},
-		{Cluster: cluster.DefaultConfig(n), Level: experiments.NICLevel, Alg: mcp.GB, Dim: dim, Iters: iters},
+		mustExperiment(service.Spec{Nodes: n, Alg: "pe", Iters: iters}),
+		mustExperiment(service.Spec{Nodes: n, Alg: "gb", Dim: dim, Iters: iters}),
 	}
 	for i, sp := range specs {
 		if i > 0 {
@@ -480,4 +475,20 @@ func printMetrics(n, dim, iters int) {
 		fmt.Println("metrics:")
 		fmt.Print(obs.Metrics.Dump(true))
 	}
+}
+
+// mustExperiment canonicalizes a service spec and converts it to the
+// harness's measurement spec, exiting with the codec's error if the flags
+// describe no valid run.
+func mustExperiment(s service.Spec) experiments.Spec {
+	c, err := s.Canonicalize()
+	var spec experiments.Spec
+	if err == nil {
+		spec, err = c.Experiment()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	return spec
 }

@@ -13,6 +13,12 @@
 //
 //	gmtrace [-n nodes] [-alg pe|gb] [-dim D] [-level nic|host]
 //	        [-barriers N] [-skip W] [-topo kind] [-radix R] [-chrome out.json]
+//
+// The flags build a service spec, so they take the spec codec's values and
+// defaults: -n must be at least 2; -radix 0 means topo.DefaultRadix on a
+// multi-switch -topo and is ignored on single, whose crossbar is sized to
+// the node count; -skip 0 and -barriers 0 mean the spec defaults (5 and
+// experiments.DefaultIters).
 package main
 
 import (
@@ -21,22 +27,16 @@ import (
 	"os"
 	"sort"
 
-	"gmsim/internal/cluster"
-	"gmsim/internal/core"
-	"gmsim/internal/gm"
-	"gmsim/internal/host"
-	"gmsim/internal/mcp"
-	"gmsim/internal/sim"
+	"gmsim/internal/experiments"
+	"gmsim/internal/service"
 	"gmsim/internal/stats"
-	"gmsim/internal/topo"
-	"gmsim/internal/trace"
 )
 
 func main() {
 	n := flag.Int("n", 4, "cluster size")
-	algArg := flag.String("alg", "pe", "barrier algorithm: pe or gb")
+	alg := flag.String("alg", "pe", "barrier algorithm: pe or gb")
 	dim := flag.Int("dim", 2, "GB tree dimension")
-	levelArg := flag.String("level", "nic", "barrier placement: nic or host")
+	level := flag.String("level", "nic", "barrier placement: nic or host")
 	barriers := flag.Int("barriers", 2, "barriers to trace")
 	skip := flag.Int("skip", 3, "warmup barriers before tracing")
 	topoArg := flag.String("topo", "single", "switch topology: single, twoswitch, star, clos2, clos3")
@@ -44,74 +44,29 @@ func main() {
 	chrome := flag.String("chrome", "", "write the trace as Chrome trace-event JSON to this file")
 	flag.Parse()
 
-	alg := mcp.PE
-	if *algArg == "gb" {
-		alg = mcp.GB
-	} else if *algArg != "pe" {
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algArg)
-		os.Exit(2)
+	spec, err := service.Spec{
+		Topo:   *topoArg,
+		Radix:  *radix,
+		Nodes:  *n,
+		Level:  *level,
+		Alg:    *alg,
+		Dim:    *dim,
+		Warmup: *skip,
+		Iters:  *barriers,
+	}.Canonicalize()
+	var espec experiments.Spec
+	if err == nil {
+		espec, err = spec.Experiment()
 	}
-	nicLevel := *levelArg == "nic"
-	if !nicLevel && *levelArg != "host" {
-		fmt.Fprintf(os.Stderr, "unknown level %q\n", *levelArg)
-		os.Exit(2)
-	}
-
-	cfg := cluster.DefaultConfig(*n)
-	if *topoArg != "single" {
-		kind, err := topo.ParseKind(*topoArg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -topo: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Topology = &topo.Spec{Kind: kind, Nodes: *n, Radix: *radix}
-	} else if *radix > 0 {
-		cfg.Switch.Ports = *radix
-	}
-	if err := cfg.Validate(); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	cl := cluster.New(cfg)
-	rec := trace.Attach(cl)
-	rec.Disable()
-	g := core.UniformGroup(*n, 2)
-	var t0, t1 sim.Time
-	cl.SpawnAll(func(p *host.Process) {
-		rank := p.Rank()
-		port, err := gm.Open(p, cl.MCP(rank), 2)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(p, port, 4*(*n)+16)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < *skip+*barriers; i++ {
-			if rank == 0 && i == *skip {
-				t0 = p.Now()
-				rec.Enable()
-			}
-			var err error
-			if nicLevel {
-				err = comm.Barrier(p, alg, g, rank, *dim)
-			} else {
-				err = comm.HostBarrier(p, alg, g, rank, *dim)
-			}
-			if err != nil {
-				panic(err)
-			}
-		}
-		if rank == 0 {
-			t1 = p.Now()
-			rec.Disable()
-		}
-	})
-	cl.Run()
+	obs := experiments.MeasureBarrierObserved(espec)
+	rec := obs.Rec
 
 	fmt.Printf("trace: %d %s-based %s barriers, %d nodes on %s fabric (after %d warmup)\n\n",
-		*barriers, *levelArg, *algArg, *n, *topoArg, *skip)
+		spec.Iters, spec.Level, spec.Alg, spec.Nodes, spec.Topo, spec.Warmup)
 	fmt.Print(rec.Dump())
 
 	fmt.Println("\nevent counts:")
@@ -158,7 +113,7 @@ func main() {
 
 	fmt.Printf("\nSection 2.2 decomposition of the traced window at rank 0 (%d spans):\n",
 		rec.Phases().Len())
-	fmt.Print(rec.Decompose(0, t0, t1).Table())
+	fmt.Print(obs.Decomp.Table())
 
 	if *chrome != "" {
 		f, err := os.Create(*chrome)

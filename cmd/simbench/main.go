@@ -422,7 +422,7 @@ func barrierEngineRun(iters int, traced bool) (int64, time.Duration) {
 			panic(err)
 		}
 		for i := 0; i < iters+5; i++ {
-			if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
+			if err := comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil); err != nil {
 				panic(err)
 			}
 		}

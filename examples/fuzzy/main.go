@@ -44,7 +44,7 @@ func run(fuzzy bool) sim.Time {
 		for i := 0; i < iterations; i++ {
 			if fuzzy {
 				// Initiate the barrier, then compute while the NIC works.
-				pb, err := comm.StartBarrier(p, mcp.PE, group, rank, 0)
+				pb, err := comm.StartBarrierMapped(p, mcp.PE, group, rank, 0, nil)
 				if err != nil {
 					panic(err)
 				}
@@ -55,7 +55,7 @@ func run(fuzzy bool) sim.Time {
 				pb.Wait(p)
 			} else {
 				// Conventional: synchronize first, then compute.
-				if err := comm.Barrier(p, mcp.PE, group, rank, 0); err != nil {
+				if err := comm.BarrierMapped(p, mcp.PE, group, rank, 0, nil); err != nil {
 					panic(err)
 				}
 				for c := 0; c < chunks; c++ {

@@ -64,9 +64,9 @@ func main() {
 					p.Compute(spec.compute)
 					var err error
 					if spec.alg == mcp.PE {
-						err = comm.Barrier(p, mcp.PE, group, node, 0)
+						err = comm.BarrierMapped(p, mcp.PE, group, node, 0, nil)
 					} else {
-						err = comm.Barrier(p, mcp.GB, group, node, 2)
+						err = comm.BarrierMapped(p, mcp.GB, group, node, 2, nil)
 					}
 					if err != nil {
 						panic(err)

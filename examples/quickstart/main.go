@@ -56,7 +56,7 @@ func main() {
 			// NIC (gm_barrier_send_with_callback) and waits for
 			// GM_BARRIER_COMPLETED_EVENT. All intermediate messages stay
 			// on the NICs.
-			if err := comm.Barrier(p, mcp.PE, group, rank, 0); err != nil {
+			if err := comm.BarrierMapped(p, mcp.PE, group, rank, 0, nil); err != nil {
 				panic(err)
 			}
 			if rank == 0 {

@@ -72,9 +72,9 @@ func runStencil(grain sim.Time, nicBarrier bool) sim.Time {
 			p.Compute(grain)
 			// Iteration barrier.
 			if nicBarrier {
-				err = comm.Barrier(p, mcp.PE, group, rank, 0)
+				err = comm.BarrierMapped(p, mcp.PE, group, rank, 0, nil)
 			} else {
-				err = comm.HostBarrierPE(p, group, rank)
+				err = comm.HostBarrierMapped(p, mcp.PE, group, rank, 0, nil)
 			}
 			if err != nil {
 				panic(err)

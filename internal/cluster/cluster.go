@@ -35,15 +35,12 @@ type Config struct {
 	// Link and Switch describe the fabric.
 	Link   network.LinkParams
 	Switch network.SwitchParams
-	// TwoLevel splits the nodes across two switches joined by an uplink
-	// (an extension; the paper uses one switch). Ignored when Topology is
-	// set.
-	TwoLevel bool
 	// Topology, when non-nil, declares the switch fabric shape (see
 	// internal/topo): star-of-switches, two- or three-level Clos, etc.
-	// Nil means the classic layout — one crossbar sized to the node count
-	// (or two when TwoLevel is set) — which maps onto the equivalent topo
-	// spec bit-identically. Spec.Nodes may be left zero to mean Nodes.
+	// Nil means the paper's layout — one crossbar sized to the node count
+	// — which maps onto the equivalent topo spec bit-identically. A
+	// TwoSwitch spec with AllowExpand is the historical two-crossbar
+	// extension. Spec.Nodes may be left zero to mean Nodes.
 	Topology *topo.Spec
 	// ReliableBarrier, ClearUnexpectedOnOpen, LoopbackFlag select the
 	// firmware variants (see mcp.Config).
@@ -120,15 +117,11 @@ type Cluster struct {
 
 // topoSpec resolves the configuration's topology declaration: an explicit
 // Spec is completed with the node count; a nil Topology maps onto the
-// classic layout (Single, or TwoSwitch under TwoLevel) with the historical
-// auto-expansion, so legacy configs build bit-identical fabrics.
+// paper's single crossbar with the historical auto-expansion, so legacy
+// configs build bit-identical fabrics.
 func (cfg Config) topoSpec() (topo.Spec, error) {
 	if cfg.Topology == nil {
-		kind := topo.Single
-		if cfg.TwoLevel {
-			kind = topo.TwoSwitch
-		}
-		return topo.Spec{Kind: kind, Nodes: cfg.Nodes, Radix: cfg.Switch.Ports, AllowExpand: true}, nil
+		return topo.Spec{Kind: topo.Single, Nodes: cfg.Nodes, Radix: cfg.Switch.Ports, AllowExpand: true}, nil
 	}
 	spec := *cfg.Topology
 	if spec.Nodes == 0 {

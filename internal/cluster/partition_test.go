@@ -48,7 +48,7 @@ func barrierTimes(t *testing.T, cfg Config, workers, iters int, alg mcp.BarrierA
 			return
 		}
 		for i := 0; i < iters; i++ {
-			if err := comm.Barrier(p, alg, g, rank, barrierDim(alg)); err != nil {
+			if err := comm.BarrierMapped(p, alg, g, rank, barrierDim(alg), nil); err != nil {
 				t.Errorf("rank %d iter %d: %v", rank, i, err)
 				return
 			}

@@ -221,18 +221,13 @@ func TreeDepth(n, dim int) int {
 	return depth
 }
 
-// NICBarrierToken builds the barrier send token for rank self of the
+// NICBarrierTokenMapped builds the barrier send token for rank self of the
 // group: the host-side computation the paper deliberately keeps off the
 // NIC ("the host at a particular node needs to inform the NIC only of the
 // children and parent of the node, rather than all the nodes in the
-// barrier"). dim is used only for GB.
-func NICBarrierToken(alg mcp.BarrierAlg, g Group, self, dim int) (*mcp.BarrierToken, error) {
-	return NICBarrierTokenMapped(alg, g, self, dim, nil)
-}
-
-// NICBarrierTokenMapped is NICBarrierToken with a topology hint: a non-nil
-// leafOf makes the GB tree switch-aware (GBTreeMapped). PE ignores the
-// hint — its schedule is fixed by the recursive-doubling structure.
+// barrier"). dim is used only for GB. A non-nil leafOf makes the GB tree
+// switch-aware (GBTreeMapped); nil is the flat tree. PE ignores the hint
+// — its schedule is fixed by the recursive-doubling structure.
 func NICBarrierTokenMapped(alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) (*mcp.BarrierToken, error) {
 	n := len(g)
 	if self < 0 || self >= n {

@@ -296,7 +296,7 @@ func TestUniformGroup(t *testing.T) {
 
 func TestNICBarrierTokenPE(t *testing.T) {
 	g := UniformGroup(8, 2)
-	tok, err := NICBarrierToken(mcp.PE, g, 3, 0)
+	tok, err := NICBarrierTokenMapped(mcp.PE, g, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,14 +314,14 @@ func TestNICBarrierTokenPE(t *testing.T) {
 
 func TestNICBarrierTokenGB(t *testing.T) {
 	g := UniformGroup(8, 2)
-	tok, err := NICBarrierToken(mcp.GB, g, 0, 2)
+	tok, err := NICBarrierTokenMapped(mcp.GB, g, 0, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tok.Root || len(tok.Children) != 2 {
 		t.Fatalf("root token = %+v", tok)
 	}
-	tok, err = NICBarrierToken(mcp.GB, g, 5, 2)
+	tok, err = NICBarrierTokenMapped(mcp.GB, g, 5, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,13 +332,13 @@ func TestNICBarrierTokenGB(t *testing.T) {
 
 func TestNICBarrierTokenErrors(t *testing.T) {
 	g := UniformGroup(4, 2)
-	if _, err := NICBarrierToken(mcp.PE, g, 9, 0); err == nil {
+	if _, err := NICBarrierTokenMapped(mcp.PE, g, 9, 0, nil); err == nil {
 		t.Fatal("bad rank should error")
 	}
-	if _, err := NICBarrierToken(mcp.GB, g, 0, 0); err == nil {
+	if _, err := NICBarrierTokenMapped(mcp.GB, g, 0, 0, nil); err == nil {
 		t.Fatal("bad dim should error")
 	}
-	if _, err := NICBarrierToken(mcp.BarrierAlg(99), g, 0, 0); err == nil {
+	if _, err := NICBarrierTokenMapped(mcp.BarrierAlg(99), g, 0, 0, nil); err == nil {
 		t.Fatal("bad alg should error")
 	}
 }

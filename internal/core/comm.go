@@ -201,18 +201,12 @@ func (c *Comm) dropArrival(src mcp.Endpoint) {
 // NIC-based barriers.
 // ---------------------------------------------------------------------------
 
-// Barrier runs a blocking NIC-based barrier for rank self of the group
-// using the given algorithm (dim applies to GB). This is the paper's fast
-// path: one host->NIC token, NIC-to-NIC message exchange, one completion
-// event back.
-func (c *Comm) Barrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) error {
-	return c.BarrierMapped(p, alg, g, self, dim, nil)
-}
-
-// BarrierMapped is Barrier with a topology hint: a non-nil leafOf (node
-// rank -> leaf-switch index, see cluster.Topology().LeafOf) makes the GB
-// tree switch-aware so trunk crossings are minimized. Nil leafOf is
-// exactly Barrier.
+// BarrierMapped runs a blocking NIC-based barrier for rank self of the
+// group using the given algorithm (dim applies to GB). This is the paper's
+// fast path: one host->NIC token, NIC-to-NIC message exchange, one
+// completion event back. A non-nil leafOf (node rank -> leaf-switch index,
+// see cluster.Topology().LeafOf) makes the GB tree switch-aware so trunk
+// crossings are minimized; nil leafOf is the flat tree.
 func (c *Comm) BarrierMapped(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) error {
 	pb, err := c.StartBarrierMapped(p, alg, g, self, dim, leafOf)
 	if err != nil {
@@ -236,16 +230,11 @@ type PendingBarrier struct {
 // (ascending; nil before completion or on a clean completion).
 func (pb *PendingBarrier) Dead() []network.NodeID { return pb.dead }
 
-// StartBarrier initiates a NIC-based barrier and returns immediately —
-// the fuzzy-barrier entry point (Sections 1 and 5.2: "because we separate
-// the barrier initiation from the polling of the barrier completion, a
-// fuzzy barrier can be performed").
-func (c *Comm) StartBarrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) (*PendingBarrier, error) {
-	return c.StartBarrierMapped(p, alg, g, self, dim, nil)
-}
-
-// StartBarrierMapped is StartBarrier with a topology hint (see
-// BarrierMapped).
+// StartBarrierMapped initiates a NIC-based barrier and returns immediately
+// — the fuzzy-barrier entry point (Sections 1 and 5.2: "because we
+// separate the barrier initiation from the polling of the barrier
+// completion, a fuzzy barrier can be performed"). The arguments are
+// BarrierMapped's; Test or Wait on the result completes it.
 func (c *Comm) StartBarrierMapped(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) (*PendingBarrier, error) {
 	tok, err := c.barrierToken(alg, g, self, dim, leafOf)
 	if err != nil {
@@ -296,12 +285,12 @@ func (pb *PendingBarrier) takeDone() bool {
 // Host-based barriers (the paper's baseline).
 // ---------------------------------------------------------------------------
 
-// HostBarrierPE runs the pairwise-exchange barrier entirely at the host:
+// hostBarrierPE runs the pairwise-exchange barrier entirely at the host:
 // for each scheduled peer, send a message and wait for that peer's message
 // — every intermediate message crosses the PCI bus twice and is processed
 // by the host, which is precisely the overhead the NIC-based barrier
 // removes (Figure 1).
-func (c *Comm) HostBarrierPE(p *host.Process, g Group, self int) error {
+func (c *Comm) hostBarrierPE(p *host.Process, g Group, self int) error {
 	sched, err := PESchedule(self, len(g))
 	if err != nil {
 		return err
@@ -318,19 +307,14 @@ func (c *Comm) HostBarrierPE(p *host.Process, g Group, self int) error {
 	return nil
 }
 
-// HostBarrierGB runs the gather-and-broadcast barrier at the host over a
-// dimension-dim tree: gather from all children, send to parent, wait for
+// hostBarrierGB runs the gather-and-broadcast barrier at the host over a
+// dimension-dim tree (topology-aware for a non-nil leafOf, see
+// BarrierMapped): gather from all children, send to parent, wait for
 // the parent's broadcast, forward the broadcast to the children and exit.
 // The broadcast sends are posted back to back, so they pipeline through
 // the NIC — the effect the paper credits for the host-based GB's
 // competitiveness (Section 6).
-func (c *Comm) HostBarrierGB(p *host.Process, g Group, self, dim int) error {
-	return c.HostBarrierGBMapped(p, g, self, dim, nil)
-}
-
-// HostBarrierGBMapped is HostBarrierGB over the topology-aware tree (see
-// BarrierMapped); nil leafOf is exactly HostBarrierGB.
-func (c *Comm) HostBarrierGBMapped(p *host.Process, g Group, self, dim int, leafOf []int) error {
+func (c *Comm) hostBarrierGB(p *host.Process, g Group, self, dim int, leafOf []int) error {
 	parent, children, err := GBTreeMapped(self, len(g), dim, leafOf)
 	if err != nil {
 		return err
@@ -356,19 +340,15 @@ func (c *Comm) HostBarrierGBMapped(p *host.Process, g Group, self, dim int, leaf
 	return nil
 }
 
-// HostBarrier dispatches on the algorithm.
-func (c *Comm) HostBarrier(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int) error {
-	return c.HostBarrierMapped(p, alg, g, self, dim, nil)
-}
-
-// HostBarrierMapped dispatches on the algorithm with a topology hint (see
-// BarrierMapped); PE ignores the hint.
+// HostBarrierMapped runs the host-based barrier for rank self, dispatching
+// on the algorithm. leafOf is BarrierMapped's topology hint (nil: the flat
+// tree); PE ignores it.
 func (c *Comm) HostBarrierMapped(p *host.Process, alg mcp.BarrierAlg, g Group, self, dim int, leafOf []int) error {
 	switch alg {
 	case mcp.PE:
-		return c.HostBarrierPE(p, g, self)
+		return c.hostBarrierPE(p, g, self)
 	case mcp.GB:
-		return c.HostBarrierGBMapped(p, g, self, dim, leafOf)
+		return c.hostBarrierGB(p, g, self, dim, leafOf)
 	default:
 		return fmt.Errorf("core: unknown algorithm %v", alg)
 	}

@@ -131,7 +131,7 @@ func TestStartBarrierTestPolling(t *testing.T) {
 		rank := p.Rank()
 		port, _ := gm.Open(p, cl.MCP(rank), 2)
 		comm, _ := NewComm(p, port, 32)
-		pb, err := comm.StartBarrier(p, mcp.PE, g, rank, 0)
+		pb, err := comm.StartBarrierMapped(p, mcp.PE, g, rank, 0, nil)
 		if err != nil {
 			t.Errorf("start: %v", err)
 			return
@@ -160,7 +160,7 @@ func TestPendingBarrierWaitAfterTest(t *testing.T) {
 		rank := p.Rank()
 		port, _ := gm.Open(p, cl.MCP(rank), 2)
 		comm, _ := NewComm(p, port, 32)
-		pb, err := comm.StartBarrier(p, mcp.GB, g, rank, 1)
+		pb, err := comm.StartBarrierMapped(p, mcp.GB, g, rank, 1, nil)
 		if err != nil {
 			t.Errorf("start: %v", err)
 			return
@@ -174,7 +174,7 @@ func TestPendingBarrierWaitAfterTest(t *testing.T) {
 func TestHostBarrierUnknownAlg(t *testing.T) {
 	commPair(t,
 		func(p *host.Process, c *Comm, g Group) {
-			if err := c.HostBarrier(p, mcp.BarrierAlg(9), g, 0, 0); err == nil {
+			if err := c.HostBarrierMapped(p, mcp.BarrierAlg(9), g, 0, 0, nil); err == nil {
 				t.Error("unknown algorithm should error")
 			}
 		},
@@ -184,13 +184,13 @@ func TestHostBarrierUnknownAlg(t *testing.T) {
 func TestBarrierBadRankErrors(t *testing.T) {
 	commPair(t,
 		func(p *host.Process, c *Comm, g Group) {
-			if err := c.Barrier(p, mcp.PE, g, 5, 0); err == nil {
+			if err := c.BarrierMapped(p, mcp.PE, g, 5, 0, nil); err == nil {
 				t.Error("bad rank should error")
 			}
-			if err := c.HostBarrierPE(p, g, -1); err == nil {
+			if err := c.HostBarrierMapped(p, mcp.PE, g, -1, 0, nil); err == nil {
 				t.Error("bad host rank should error")
 			}
-			if err := c.HostBarrierGB(p, g, 0, 0); err == nil {
+			if err := c.HostBarrierMapped(p, mcp.GB, g, 0, 0, nil); err == nil {
 				t.Error("bad dim should error")
 			}
 		},
@@ -214,7 +214,7 @@ func TestMixedBarrierAndData(t *testing.T) {
 					return
 				}
 			}
-			if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
+			if err := comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil); err != nil {
 				t.Errorf("barrier: %v", err)
 				return
 			}
@@ -276,9 +276,9 @@ func TestPropertyBarrierSemanticsRandomized(t *testing.T) {
 			p.Compute(staggers[rank])
 			enter[rank] = p.Now()
 			if nicBased {
-				err = comm.Barrier(p, alg, g, rank, dim)
+				err = comm.BarrierMapped(p, alg, g, rank, dim, nil)
 			} else {
-				err = comm.HostBarrier(p, alg, g, rank, dim)
+				err = comm.HostBarrierMapped(p, alg, g, rank, dim, nil)
 			}
 			if err != nil {
 				ok = false

@@ -11,7 +11,7 @@ import (
 )
 
 // Run one NIC-based pairwise-exchange barrier across a 4-node cluster.
-func ExampleComm_Barrier() {
+func ExampleComm_BarrierMapped() {
 	cl := cluster.New(cluster.DefaultConfig(4))
 	group := core.UniformGroup(4, 2)
 	passed := 0
@@ -24,7 +24,7 @@ func ExampleComm_Barrier() {
 		if err != nil {
 			panic(err)
 		}
-		if err := comm.Barrier(p, mcp.PE, group, p.Rank(), 0); err != nil {
+		if err := comm.BarrierMapped(p, mcp.PE, group, p.Rank(), 0, nil); err != nil {
 			panic(err)
 		}
 		passed++

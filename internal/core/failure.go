@@ -63,7 +63,7 @@ func resultFor(g Group, dead []network.NodeID) BarrierResult {
 
 // BarrierChecked runs a blocking NIC-based barrier and reports how it
 // completed: cleanly, or degraded around crashed participants. Unlike
-// Barrier, a degraded completion is not silent — the result carries the
+// BarrierMapped, a degraded completion is not silent — the result carries the
 // dead set and the surviving ranks. The returned error is non-nil only
 // when the barrier could not run at all (bad group arguments); degraded
 // completion is reported through BarrierResult.Err.
@@ -108,7 +108,7 @@ func (c *Comm) BarrierWithRepair(p *host.Process, alg mcp.BarrierAlg, g Group, s
 	if sself < 0 {
 		return res, fmt.Errorf("core: rank %d's own node is in the dead set", self)
 	}
-	if err := c.HostBarrierPE(p, sg, sself); err != nil {
+	if err := c.hostBarrierPE(p, sg, sself); err != nil {
 		return res, fmt.Errorf("core: survivor re-synchronization failed: %w", err)
 	}
 	return res, nil

@@ -8,6 +8,7 @@ import (
 	"gmsim/internal/host"
 	"gmsim/internal/mcp"
 	"gmsim/internal/sim"
+	"gmsim/internal/topo"
 )
 
 // runBarriers runs iters barriers of the given kind on an n-node cluster
@@ -41,9 +42,9 @@ func runBarriers(t *testing.T, cfg cluster.Config, nicBased bool, alg mcp.Barrie
 			}
 			enter[it][rank] = p.Now()
 			if nicBased {
-				err = comm.Barrier(p, alg, g, rank, dim)
+				err = comm.BarrierMapped(p, alg, g, rank, dim, nil)
 			} else {
-				err = comm.HostBarrier(p, alg, g, rank, dim)
+				err = comm.HostBarrierMapped(p, alg, g, rank, dim, nil)
 			}
 			if err != nil {
 				t.Errorf("rank %d barrier %d: %v", rank, it, err)
@@ -208,7 +209,7 @@ func TestFuzzyBarrierOverlapsComputation(t *testing.T) {
 				return
 			}
 			if fuzzy {
-				pb, err := comm.StartBarrier(p, mcp.PE, g, rank, 0)
+				pb, err := comm.StartBarrierMapped(p, mcp.PE, g, rank, 0, nil)
 				if err != nil {
 					t.Errorf("start: %v", err)
 					return
@@ -219,7 +220,7 @@ func TestFuzzyBarrierOverlapsComputation(t *testing.T) {
 				}
 				pb.Wait(p)
 			} else {
-				if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
+				if err := comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil); err != nil {
 					t.Errorf("barrier: %v", err)
 					return
 				}
@@ -245,7 +246,7 @@ func TestFuzzyBarrierOverlapsComputation(t *testing.T) {
 
 func TestTwoLevelTopologyBarrier(t *testing.T) {
 	cfg := cluster.DefaultConfig(8)
-	cfg.TwoLevel = true
+	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 	enter, exit := runBarriers(t, cfg, true, mcp.PE, 0, 3, nil)
 	checkBarrierSemantics(t, enter, exit)
 }
@@ -274,7 +275,7 @@ func TestBarrierDataCoexistence(t *testing.T) {
 				t.Errorf("send: %v", err)
 			}
 		}
-		if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
+		if err := comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil); err != nil {
 			t.Errorf("barrier: %v", err)
 			return
 		}

@@ -69,12 +69,12 @@ func TestStressMixedTraffic(t *testing.T) {
 						return
 					}
 				case 1:
-					if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
+					if err := comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil); err != nil {
 						fail()
 						return
 					}
 				case 2:
-					if err := comm.HostBarrierGB(p, g, rank, plan.dim); err != nil {
+					if err := comm.HostBarrierMapped(p, mcp.GB, g, rank, plan.dim, nil); err != nil {
 						fail()
 						return
 					}
@@ -132,7 +132,7 @@ func TestStressReliableBarriersUnderLoss(t *testing.T) {
 			port, _ := gm.Open(p, cl.MCP(rank), 2)
 			comm, _ := NewComm(p, port, 48)
 			for i := 0; i < 20; i++ {
-				if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
+				if err := comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil); err != nil {
 					t.Errorf("seed %d rank %d barrier %d: %v", seed, rank, i, err)
 					return
 				}
@@ -162,7 +162,7 @@ func TestStressDeterminism(t *testing.T) {
 			port, _ := gm.Open(p, cl.MCP(rank), 2)
 			comm, _ := NewComm(p, port, 48)
 			for i := 0; i < 5; i++ {
-				comm.Barrier(p, mcp.PE, g, rank, 0)
+				comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil)
 				comm.NICAllReduce(p, g, rank, 2, mcp.OpSum, EncodeInt64s([]int64{1}))
 				if rank%2 == 0 && rank+1 < n {
 					comm.Send(p, g[rank+1], []byte{byte(i)})

@@ -85,7 +85,7 @@ func MeasureCollective(spec CollSpec) float64 {
 		for i := 0; i < rounds; i++ {
 			// Untimed separator barrier bounds producer run-ahead and
 			// gives every iteration a common start line.
-			if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
+			if err := comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil); err != nil {
 				panic(err)
 			}
 			// The iteration's start line is when the *last* rank begins

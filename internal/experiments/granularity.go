@@ -93,9 +93,9 @@ func measureBSP(n int, grainMicros, imbalance float64, nicBarrier bool, iters in
 			p.Compute(sim.FromMicros(grainMicros + jitter[rank][i]))
 			var err error
 			if nicBarrier {
-				err = comm.Barrier(p, mcp.PE, g, rank, 0)
+				err = comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil)
 			} else {
-				err = comm.HostBarrierPE(p, g, rank)
+				err = comm.HostBarrierMapped(p, mcp.PE, g, rank, 0, nil)
 			}
 			if err != nil {
 				panic(err)

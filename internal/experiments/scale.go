@@ -8,6 +8,7 @@ import (
 	"gmsim/internal/mpi"
 	"gmsim/internal/runner"
 	"gmsim/internal/sim"
+	"gmsim/internal/topo"
 )
 
 // Experiment E11 (extension): the paper's scalability claim — "this factor
@@ -21,14 +22,14 @@ type ScaleRow struct {
 
 // ScaleSweep measures the PE barrier at both levels for each size, fanning
 // all 2·len(sizes) whole-cluster simulations out over the worker pool.
-// TwoLevel splits nodes across two switches once size exceeds half the
-// largest single switch the era offered (16 ports).
+// Sizes past 16 split across two switches (topo.TwoSwitch), as the
+// largest single switch of the era had 16 ports.
 func ScaleSweep(sizes []int, iters int) []ScaleRow {
 	specs := make([]Spec, 0, 2*len(sizes))
 	for _, n := range sizes {
 		cfg := cluster.DefaultConfig(n)
 		if n > 16 {
-			cfg.TwoLevel = true
+			cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 		}
 		specs = append(specs,
 			Spec{Cluster: cfg, Level: NICLevel, Alg: mcp.PE, Iters: iters},

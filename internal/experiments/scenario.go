@@ -234,7 +234,7 @@ func ScenarioFleet() []Scenario {
 	}}
 	twoSwitch := func(plan *fault.Plan) cluster.Config {
 		cfg := detectCfg(16, plan)
-		cfg.TwoLevel = true
+		cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 		return cfg
 	}
 	partitioned := func(plan *fault.Plan) cluster.Config {

@@ -155,7 +155,7 @@ const (
 // (every step paying the layer's per-message cost, as in MPICH).
 func (w *World) Barrier(p *host.Process) error {
 	if w.cfg.UseNICBarrier {
-		return w.comm.Barrier(p, mcp.PE, w.g, w.rank, 0)
+		return w.comm.BarrierMapped(p, mcp.PE, w.g, w.rank, 0, nil)
 	}
 	sched, err := core.PESchedule(w.rank, len(w.g))
 	if err != nil {

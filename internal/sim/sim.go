@@ -29,7 +29,10 @@
 // retransmit timer.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a simulated instant or duration in nanoseconds.
 type Time int64
@@ -454,26 +457,23 @@ func (s *Simulator) findMin() int32 {
 			return head
 		}
 	}
-	// Direct search: minimum over bucket heads (each list is sorted).
-	var best int32 = -1
+	// Direct search. The overflow heap may hold events before the stale
+	// entries (inserted past the rewound window), even on their own day, so
+	// jump curDay to the earliest day over bucket heads (each list is
+	// sorted) and the overflow minimum and rescan: the window now starts at
+	// the minimum, so the rescan migrates every overflow event inside it and
+	// its day scan finds the minimum on the first day, without recursing.
+	minDay := int64(math.MaxInt64)
 	for _, head := range s.buckets {
-		if head < 0 {
-			continue
-		}
-		if best < 0 {
-			best = head
-			continue
-		}
-		h, b := &s.slots[head], &s.slots[best]
-		if h.at < b.at || (h.at == b.at && h.seq < b.seq) {
-			best = head
+		if head >= 0 {
+			minDay = min(minDay, int64(s.slots[head].at)>>s.widthLog)
 		}
 	}
-	if best >= 0 {
-		s.curDay = int64(s.slots[best].at) >> s.widthLog
-		s.minCache = best
+	if len(s.over) > 0 {
+		minDay = min(minDay, int64(s.over[0].at)>>s.widthLog)
 	}
-	return best
+	s.curDay = minDay
+	return s.findMin()
 }
 
 // migrateOverflowMin moves the overflow heap's minimum into the calendar.

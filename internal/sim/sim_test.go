@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -359,5 +360,40 @@ func TestPropertyCancellation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOverflowOrdersAgainstStaleCalendarEntries drives findMin into its
+// direct-search fallback: a peek moves curDay a year ahead, an insert
+// behind it rewinds curDay so calendar entries sit beyond one full year,
+// and a later insert lands in the overflow heap before those stale entries
+// (first case) or between two of them on the same day (second case).
+// Events must still run in time order.
+func TestOverflowOrdersAgainstStaleCalendarEntries(t *testing.T) {
+	const width = Time(1) << initialWidthLog
+	stale := (initialBuckets + 5) * width
+	for _, late := range []Time{stale - 3*width, stale + 5} {
+		s := New()
+		var got []Time
+		record := func() { got = append(got, s.Now()) }
+		s.At(stale, record)
+		s.At(stale+10, record)
+		s.NextEventTime() // migrates both and moves curDay to their day
+		s.At(0, record)   // rewinds curDay one year behind them
+		s.Step()
+		s.At(late, record) // beyond the rewound window: overflow
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("late=%v: %v", late, r)
+				}
+			}()
+			s.Run()
+		}()
+		want := []Time{0, late, stale, stale + 10}
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("late=%v: ran at %v, want %v", late, got, want)
+		}
 	}
 }

@@ -15,7 +15,7 @@
 //
 //   - Single: one crossbar, node i on port i — the paper's testbed.
 //   - TwoSwitch: two crossbars joined by one trunk — the cluster package's
-//     historical TwoLevel extension, reproduced wire-for-wire.
+//     historical two-level extension, reproduced wire-for-wire.
 //   - Star: leaf crossbars around one root switch (a one-level tree); each
 //     leaf spends one port on its root uplink.
 //   - Clos2: a two-level folded Clos (leaf-and-spine); each leaf splits its
@@ -325,7 +325,7 @@ func (t *Topology) buildSingle() error {
 	return nil
 }
 
-// buildTwoSwitch reproduces the historical cluster.New TwoLevel wiring
+// buildTwoSwitch reproduces the historical cluster.New two-level wiring
 // exactly: nodes split half-and-half, each crossbar's last port carries
 // the trunk, and the crossbars grow (when expansion is allowed) only if
 // the first half plus the uplink does not fit.

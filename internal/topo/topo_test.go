@@ -66,7 +66,7 @@ func TestExpansionStopsAtRouteByte(t *testing.T) {
 }
 
 // TestTwoSwitchLegacyLayout pins the wiring the historical cluster.New
-// TwoLevel path used, which the topo builder must reproduce exactly: nodes
+// two-level path used, which the topo builder must reproduce exactly: nodes
 // split half-and-half, trunk on each crossbar's last port.
 func TestTwoSwitchLegacyLayout(t *testing.T) {
 	tp := MustBuild(Spec{Kind: TwoSwitch, Nodes: 8, Radix: 8})

@@ -11,6 +11,7 @@ import (
 	"gmsim/internal/mcp"
 	"gmsim/internal/network"
 	"gmsim/internal/phase"
+	"gmsim/internal/topo"
 )
 
 // runFullStackBarrier runs one NIC barrier on n nodes with a full-stack
@@ -32,7 +33,7 @@ func runFullStackBarrier(t *testing.T, n int, alg mcp.BarrierAlg, dim int) (*Rec
 			t.Errorf("comm: %v", err)
 			return
 		}
-		if err := comm.Barrier(p, alg, g, rank, dim); err != nil {
+		if err := comm.BarrierMapped(p, alg, g, rank, dim, nil); err != nil {
 			t.Errorf("barrier: %v", err)
 		}
 	})
@@ -192,7 +193,7 @@ func TestAttachGatesPhases(t *testing.T) {
 		rank := p.Rank()
 		port, _ := gm.Open(p, cl.MCP(rank), 2)
 		comm, _ := core.NewComm(p, port, 16)
-		comm.Barrier(p, mcp.PE, g, rank, 0)
+		comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil)
 	})
 	cl.Run()
 	if rec.Len() != 0 || rec.Phases().Len() != 0 {
@@ -208,7 +209,7 @@ func TestAttachGatesPhases(t *testing.T) {
 // must show two hop events; intra-switch packets one.
 func TestTwoSwitchHops(t *testing.T) {
 	cfg := cluster.DefaultConfig(8)
-	cfg.TwoLevel = true
+	cfg.Topology = &topo.Spec{Kind: topo.TwoSwitch, AllowExpand: true}
 	cl := cluster.New(cfg)
 	rec := Attach(cl)
 	g := core.UniformGroup(8, 2)
@@ -224,7 +225,7 @@ func TestTwoSwitchHops(t *testing.T) {
 			t.Errorf("comm: %v", err)
 			return
 		}
-		if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
+		if err := comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil); err != nil {
 			t.Errorf("barrier: %v", err)
 		}
 	})

@@ -30,7 +30,7 @@ func runTracedBarrier(t *testing.T, n int) (*Recorder, *cluster.Cluster) {
 			t.Errorf("comm: %v", err)
 			return
 		}
-		if err := comm.Barrier(p, mcp.PE, g, rank, 0); err != nil {
+		if err := comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil); err != nil {
 			t.Errorf("barrier: %v", err)
 		}
 	})
@@ -114,7 +114,7 @@ func TestEnableDisable(t *testing.T) {
 		rank := p.Rank()
 		port, _ := gm.Open(p, cl.MCP(rank), 2)
 		comm, _ := core.NewComm(p, port, 16)
-		comm.Barrier(p, mcp.PE, g, rank, 0)
+		comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil)
 	})
 	cl.Run()
 	if rec.Len() != 0 {
@@ -140,7 +140,7 @@ func TestResetAndSetFilter(t *testing.T) {
 		rank := p.Rank()
 		port, _ := gm.Open(p, cl.MCP(rank), 2)
 		comm, _ := core.NewComm(p, port, 16)
-		comm.Barrier(p, mcp.PE, g, rank, 0)
+		comm.BarrierMapped(p, mcp.PE, g, rank, 0, nil)
 	})
 	cl.Run()
 	for _, e := range rec2.Events() {
